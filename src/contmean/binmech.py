@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -72,7 +72,8 @@ def audit_influence(mech_len: int, element_index: int) -> int:
 
 
 class BinaryMechanism:
-    """One tree-aggregation counter: append-only stream plus noisy partial sums.
+    """One tree-aggregation counter: prefix sums of an append-only stream
+    plus one noisy partial sum per element.
 
     ``eta`` is the Laplace scale added to every stored partial sum; the
     caller chooses it from its own bound on how many elements a user can
@@ -80,17 +81,25 @@ class BinaryMechanism:
     mutated, so replaying the same appends with the same generator state
     reproduces the array bit for bit.
 
+    ``rng`` is a generator, or a function that returns one; the function
+    runs at the first Laplace draw, so a counter that never draws (zero
+    scale, or no elements) never builds a generator.
+
     Not thread-safe: one owner mutates, though ownership may move between
     threads between operations.
     """
 
-    def __init__(self, eta: float, rng: np.random.Generator, label: str = ""):
+    def __init__(
+        self,
+        eta: float,
+        rng: np.random.Generator | Callable[[], np.random.Generator],
+        label: str = "",
+    ):
         if eta < 0:
             raise ValueError(f"noise scale must be nonnegative, got {eta}")
         self.eta = float(eta)
         self.label = label
         self._rng = rng
-        self._stream: list[float] = []
         # prefix[i] = sum of the first i elements; kept so each append costs
         # O(1) instead of O(block size).
         self._prefix: list[float] = [0.0]
@@ -98,30 +107,33 @@ class BinaryMechanism:
         self._cached_sum: float | None = 0.0
 
     def __len__(self) -> int:
-        return len(self._stream)
-
-    @property
-    def stream(self) -> tuple[float, ...]:
-        return tuple(self._stream)
+        return len(self._nps)
 
     @property
     def noisy_partial_sums(self) -> tuple[float, ...]:
         return tuple(self._nps)
 
+    def _noise(self) -> float:
+        if self.eta == 0:
+            return 0.0
+        if not isinstance(self._rng, np.random.Generator):
+            self._rng = self._rng()
+        return laplace(self.eta, self._rng)
+
     def append(self, x: float) -> None:
         """Ingest one element and record its noisy dyadic partial sum."""
-        self._stream.append(float(x))
-        self._prefix.append(self._prefix[-1] + float(x))
-        k = len(self._stream)
+        prefix = self._prefix
+        prefix.append(prefix[-1] + float(x))
+        k = len(self._nps) + 1
         block = k & -k  # lowest set bit = covered block size
-        block_sum = self._prefix[k] - self._prefix[k - block]
-        self._nps.append(block_sum + laplace(self.eta, self._rng))
+        block_sum = prefix[k] - prefix[k - block]
+        self._nps.append(block_sum + self._noise())
         self._cached_sum = None
 
     def sum(self) -> float:
         """Noisy running sum of everything appended so far (0.0 when empty)."""
         if self._cached_sum is None:
-            k = len(self._stream)
+            k = len(self._nps)
             self._cached_sum = sum(self._nps[end - 1] for end in decompose(k).ends())
         return self._cached_sum
 

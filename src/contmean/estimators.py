@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from contmean.binmech import BinaryMechanism
 from contmean.median import MedianRequest, prior_array_count, private_median
 from contmean.noise import BudgetLedger, spawn_rng
@@ -186,6 +184,11 @@ def _diversity_rhs(max_count: int, eps: float, delta: float, m: int) -> float:
     )
 
 
+def _diversity_report(lhs: float, max_count: int, eps: float, delta: float, m: int) -> DiversityReport:
+    rhs = _diversity_rhs(max_count, eps, delta, m)
+    return DiversityReport(satisfied=lhs >= rhs, lhs=lhs, rhs=rhs, max_count=max_count)
+
+
 def check_diversity(
     counts: Mapping[int, int] | UserLedger, eps: float, delta: float, m: int
 ) -> DiversityReport:
@@ -193,7 +196,8 @@ def check_diversity(
 
     The left side counts samples usable at half the current per-user maximum
     (each user capped at M_t/2); the right side is the supply the private
-    priors need at that scale.
+    priors need at that scale.  This recounts from the per-user counts; an
+    estimator keeps the same quantity incrementally in its ``CappedSupply``.
     """
     if isinstance(counts, UserLedger):
         counts = counts.counts
@@ -201,15 +205,75 @@ def check_diversity(
         raise ValueError("diversity check needs at least one observed sample")
     max_count = max(counts.values())
     lhs = float(sum(min(c, max_count / 2.0) for c in counts.values()))
-    rhs = _diversity_rhs(max_count, eps, delta, m)
-    return DiversityReport(satisfied=lhs >= rhs, lhs=lhs, rhs=rhs, max_count=max_count)
+    return _diversity_report(lhs, max_count, eps, delta, m)
+
+
+class CappedSum:
+    """sum_u min(c_u, cap) over all users, kept current by a ``CappedSupply``."""
+
+    __slots__ = ("cap", "value")
+
+    def __init__(self, cap: float, value: float):
+        self.cap = cap
+        self.value = value
+
+
+class CappedSupply:
+    """Users per sample count, plus running capped sums over those counts.
+
+    ``hist[c]`` is the number of the n users that hold exactly c samples,
+    c = 0..m.  Each tracked ``CappedSum`` stays exact in O(1) per sample:
+    when one user's count moves from c to c + 1 its sum gains
+    min(c + 1, cap) - min(c, cap), which is 1, 1/2 or 0.  A sum over a new
+    cap is recounted from the histogram in O(m).  Every sum is a multiple of
+    1/2 no larger than n * m, so float sums and comparisons are exact.
+    """
+
+    __slots__ = ("hist", "max_count", "sums")
+
+    def __init__(self, n: int, m: int):
+        self.hist = [0] * (m + 1)
+        self.hist[0] = n
+        self.max_count = 0
+        self.sums: list[CappedSum] = []
+
+    def add(self, count: int) -> bool:
+        """Move one user from ``count`` samples to ``count + 1``; return
+        whether that raised ``max_count``."""
+        hist = self.hist
+        hist[count] -= 1
+        hist[count + 1] += 1
+        for s in self.sums:
+            if count < s.cap:
+                s.value += min(count + 1, s.cap) - count
+        if count < self.max_count:
+            return False
+        self.max_count = count + 1
+        return True
+
+    def capped_sum(self, cap: float) -> float:
+        """sum_u min(c_u, cap), recounted from the histogram."""
+        hist = self.hist
+        return sum(hist[c] * min(c, cap) for c in range(1, self.max_count + 1))
+
+    def track(self, cap: float) -> CappedSum:
+        s = CappedSum(cap, self.capped_sum(cap))
+        self.sums.append(s)
+        return s
+
+    def untrack(self, s: CappedSum) -> None:
+        self.sums.remove(s)
 
 
 # --------------------------------------------------------------------------
 
 
 class _EstimatorBase:
-    """Shared event loop: count bookkeeping, trace records, publication.
+    """Shared event loop: input checks, count bookkeeping, trace records,
+    publication.
+
+    Per-user counts live in ``counts`` (users seen so far only) and, as a
+    histogram with capped sums, in ``supply``; a ``step`` costs O(1) in n.
 
     An instance owns all of its state and is single-threaded; independent
     instances (e.g. Monte-Carlo trials) never interact and may run on
@@ -222,8 +286,13 @@ class _EstimatorBase:
         self.total = 0
         self.records: list[TraceRecord] = []
         self.budget = self._make_budget()
-        self._counts = np.zeros(config.n + 1, dtype=np.int64)
-        self._max_count = 0
+        self.counts: dict[int, int] = {}
+        self.supply = CappedSupply(config.n, config.m)
+        self._last_t = 0
+        # the div flag's sum at cap M_t/2 and its threshold; both change
+        # only when M_t rises
+        self._half_supply = self.supply.track(0.0) if config.track_diversity else None
+        self._diversity_rhs = math.inf
 
     # -- subclass hooks ----------------------------------------------------
 
@@ -231,7 +300,8 @@ class _EstimatorBase:
         raise NotImplementedError
 
     def _process(self, event: StreamEvent) -> list[str]:
-        """Consume one event, update mechanisms and ``total``; return step flags."""
+        """Consume one event: count it in ``counts``, update mechanisms and
+        ``total``; return step flags."""
         raise NotImplementedError
 
     def _noisy_sum(self) -> float:
@@ -249,14 +319,21 @@ class _EstimatorBase:
 
     def step(self, event: StreamEvent) -> TraceRecord:
         cfg = self.config
-        if not 1 <= event.user <= cfg.n:
-            raise ValueError(f"user {event.user} outside [1, {cfg.n}]")
-        if self._counts[event.user] >= cfg.m:
-            raise ValueError(f"user {event.user} exceeds the per-user cap m={cfg.m}")
+        user = event.user
+        if not 1 <= user <= cfg.n:
+            raise ValueError(f"user {user} outside [1, {cfg.n}]")
+        # the noise is calibrated to samples in [0, 1]; NaN fails this too
+        if not 0.0 <= event.value <= 1.0:
+            raise ValueError(f"sample value {event.value!r} outside [0, 1]")
+        if event.t <= self._last_t:
+            raise ValueError(f"t={event.t} does not increase past {self._last_t}")
+        count = self.counts.get(user, 0)
+        if count >= cfg.m:
+            raise ValueError(f"user {user} exceeds the per-user cap m={cfg.m}")
         self.t += 1
-        self._counts[event.user] += 1
-        if self._counts[event.user] > self._max_count:
-            self._max_count = int(self._counts[event.user])
+        self._last_t = event.t
+        supply = self.supply
+        max_rose = supply.add(count)
 
         flags = self._process(event)
 
@@ -267,17 +344,22 @@ class _EstimatorBase:
             estimate = self._noisy_sum() / self.total
             if not 0.0 <= estimate <= 1.0:
                 flags.append("oob")
-        if cfg.track_diversity:
-            lhs = float(np.minimum(self._counts[1:], self._max_count / 2.0).sum())
-            if lhs >= _diversity_rhs(self._max_count, cfg.eps, cfg.delta, cfg.m):
+        half = self._half_supply
+        if half is not None:
+            if max_rose:
+                max_count = supply.max_count
+                half.cap = max_count / 2.0
+                half.value = supply.capped_sum(half.cap)
+                self._diversity_rhs = _diversity_rhs(max_count, cfg.eps, cfg.delta, cfg.m)
+            if half.value >= self._diversity_rhs:
                 flags.append("div")
 
         record = TraceRecord(
             t=self.t,
-            user=event.user,
+            user=user,
             estimate=estimate,
             total=self.total,
-            max_count=self._max_count,
+            max_count=supply.max_count,
             active_levels=self.active_levels(),
             flags=tuple(flags),
         )
@@ -289,8 +371,12 @@ class _EstimatorBase:
         return [self.step(ev) for ev in events]
 
     def diversity(self) -> DiversityReport:
-        counts = {u: int(c) for u, c in enumerate(self._counts) if u >= 1 and c > 0}
-        return check_diversity(counts, self.config.eps, self.config.delta, self.config.m)
+        max_count = self.supply.max_count
+        if max_count == 0:
+            raise ValueError("diversity check needs at least one observed sample")
+        lhs = float(self.supply.capped_sum(max_count / 2.0))
+        cfg = self.config
+        return _diversity_report(lhs, max_count, cfg.eps, cfg.delta, cfg.m)
 
     def _project(self, interval: TruncationInterval, s: float, block_size: int) -> float:
         # intervals are intersected with [0, block_size]: honest block sums
@@ -308,13 +394,14 @@ class NaiveEstimator(_EstimatorBase):
         super().__init__(config)
         eta = naive_noise_scale(config.m, config.T, config.eps)
         self.mechanisms = [
-            BinaryMechanism(self._scale(eta), spawn_rng(config.seed, 1, 0), label="naive")
+            BinaryMechanism(self._scale(eta), lambda: spawn_rng(config.seed, 1, 0), label="naive")
         ]
 
     def _make_budget(self) -> BudgetLedger:
         return BudgetLedger(self.config.eps).charge("mech", self.config.eps)
 
     def _process(self, event: StreamEvent) -> list[str]:
+        self.counts[event.user] = self.counts.get(event.user, 0) + 1
         if self.t > self.config.T:
             raise ValueError(f"stream longer than configured T={self.config.T}")
         self.mechanisms[0].append(event.value)
@@ -333,7 +420,7 @@ class WishfulEstimator(_EstimatorBase):
         super().__init__(config)
         eta = wishful_noise_scale(config.m, config.n, config.eps, config.delta)
         self.mechanisms = [
-            BinaryMechanism(self._scale(eta), spawn_rng(config.seed, 1, 0), label="wishful")
+            BinaryMechanism(self._scale(eta), lambda: spawn_rng(config.seed, 1, 0), label="wishful")
         ]
         width = math.sqrt((config.m / 2.0) * math.log(2.0 * config.n / config.delta))
         width += math.sqrt(config.m)
@@ -361,6 +448,7 @@ class WishfulEstimator(_EstimatorBase):
             )
 
     def _process(self, event: StreamEvent) -> list[str]:
+        self.counts[event.user] = self.counts.get(event.user, 0) + 1
         if self.t > self.config.T:
             raise ValueError(f"stream longer than configured T={self.config.T}")
         self._check_contiguous(event.user)
@@ -408,9 +496,17 @@ class _WithholdReleaseBase(_EstimatorBase):
     def __init__(self, config: EstimatorConfig):
         super().__init__(config)
         self.ledger = UserLedger()
+        self.counts = self.ledger.counts  # the ledger counts each sample
+        self._sum: float | None = 0.0  # noisy sum over all counters, until the next append
 
     def _handle_release(self, level: int, block_sum: float, block_size: int) -> list[str]:
         raise NotImplementedError
+
+    def _append(self, index: int, sigma: float, block_size: int) -> None:
+        """Feed one (projected) block sum to counter ``index``."""
+        self.mechanisms[index].append(sigma)
+        self.total += block_size
+        self._sum = None
 
     def _process(self, event: StreamEvent) -> list[str]:
         decision = self.ledger.on_sample(event.user, event.value)
@@ -419,7 +515,9 @@ class _WithholdReleaseBase(_EstimatorBase):
         return self._handle_release(decision.level, decision.block_sum, decision.block_size)
 
     def _noisy_sum(self) -> float:
-        return math.fsum(mech.sum() for mech in self.mechanisms)
+        if self._sum is None:
+            self._sum = math.fsum(mech.sum() for mech in self.mechanisms)
+        return self._sum
 
 
 class SingleCounterEstimator(_WithholdReleaseBase):
@@ -429,7 +527,7 @@ class SingleCounterEstimator(_WithholdReleaseBase):
         super().__init__(config)
         eta = single_noise_scale(config.m, config.n, config.eps, config.delta)
         self.mechanisms = [
-            BinaryMechanism(self._scale(eta), spawn_rng(config.seed, 1, 0), label="single")
+            BinaryMechanism(self._scale(eta), lambda: spawn_rng(config.seed, 1, 0), label="single")
         ]
         self._intervals: dict[int, TruncationInterval] = {}
 
@@ -450,8 +548,7 @@ class SingleCounterEstimator(_WithholdReleaseBase):
         sigma = block_sum
         if level >= 1 and not self.config.clip_disabled:
             sigma = self._project(self._interval_at(level), block_sum, block_size)
-        self.mechanisms[0].append(sigma)
-        self.total += block_size
+        self._append(0, sigma, block_size)
         return ["clip"] if sigma != block_sum else []
 
 
@@ -464,7 +561,7 @@ class MultiCounterEstimator(_WithholdReleaseBase):
         self.mechanisms = [
             BinaryMechanism(
                 self._scale(multi_noise_scale(config.m, config.n, lv, config.eps, config.delta)),
-                spawn_rng(config.seed, 1, lv),
+                lambda lv=lv: spawn_rng(config.seed, 1, lv),
                 label=f"multi[{lv}]",
             )
             for lv in range(self.big_l + 1)
@@ -490,8 +587,7 @@ class MultiCounterEstimator(_WithholdReleaseBase):
         sigma = block_sum
         if level >= 1 and not self.config.clip_disabled:
             sigma = self._project(self._interval_at(level), block_sum, block_size)
-        self.mechanisms[level].append(sigma)
-        self.total += block_size
+        self._append(level, sigma, block_size)
         return ["clip"] if sigma != block_sum else []
 
 
@@ -506,7 +602,7 @@ class FullEstimator(_WithholdReleaseBase):
         self.mechanisms = [
             BinaryMechanism(
                 self._scale(full_noise_scale(cfg.m, cfg.n, lv, cfg.eps, cfg.delta)),
-                spawn_rng(cfg.seed, 1, lv),
+                lambda lv=lv: spawn_rng(cfg.seed, 1, lv),
                 label=f"full[{lv}]",
             )
             for lv in range(self.big_l + 1)
@@ -516,17 +612,22 @@ class FullEstimator(_WithholdReleaseBase):
         self.priors: dict[int, float] = {}
         self._intervals: dict[int, TruncationInterval] = {}
         self._history: list[StreamEvent] = []
-        # running sum_u min(M(u), 2^(level-1)) per inactive level
-        self._supply = {lv: 0 for lv in self.inactive}
-        self._thresholds = {
-            lv: (1 << (lv - 1))
-            * math.ceil(
-                prior_array_count(
-                    cfg.eps / (2.0 * self.big_l), lv, cfg.delta / (3.0 * self.big_l)
-                )
+        # (level, sum_u min(M(u), 2^(level-1)), activation threshold) per
+        # inactive level, ascending
+        self._waiting = tuple(
+            (
+                lv,
+                self.supply.track(1 << (lv - 1)),
+                (1 << (lv - 1))
+                * math.ceil(
+                    prior_array_count(
+                        cfg.eps / (2.0 * self.big_l), lv, cfg.delta / (3.0 * self.big_l)
+                    )
+                ),
             )
-            for lv in self.inactive
-        }
+            for lv in sorted(self.inactive)
+        )
+        self._active = (0, 1)
 
     def _make_budget(self) -> BudgetLedger:
         eps = self.config.eps
@@ -539,7 +640,7 @@ class FullEstimator(_WithholdReleaseBase):
         return ledger
 
     def active_levels(self) -> tuple[int, ...]:
-        return tuple(lv for lv in range(self.big_l + 1) if lv not in self.inactive)
+        return self._active
 
     def buffered_sample_count(self) -> int:
         return sum((1 << (lv - 1)) * len(vals) for lv, vals in self.buffers.items())
@@ -561,30 +662,27 @@ class FullEstimator(_WithholdReleaseBase):
         prior = self._prior_for(level)
         self.priors[level] = prior
         self._intervals[level] = interval_full(prior, level, cfg.n, cfg.m, cfg.eps, cfg.delta)
-        held = self.buffers.pop(level)
-        for raw in held:
+        for raw in self.buffers.pop(level):
             sigma = raw
             if not cfg.clip_disabled:
                 sigma = self._project(self._intervals[level], raw, 1 << (level - 1))
-            self.mechanisms[level].append(sigma)
-        self.total += (1 << (level - 1)) * len(held)
+            self._append(level, sigma, 1 << (level - 1))
         self.inactive.discard(level)
-        del self._supply[level]
-        del self._thresholds[level]
+        done = next(w for w in self._waiting if w[0] == level)
+        self.supply.untrack(done[1])
+        self._waiting = tuple(w for w in self._waiting if w is not done)
+        self._active = tuple(lv for lv in range(self.big_l + 1) if lv not in self.inactive)
 
     def _process(self, event: StreamEvent) -> list[str]:
         self._history.append(event)
         decision = self.ledger.on_sample(event.user, event.value)
 
-        # activation runs on the post-increment counts, before this event's
-        # own release is routed
-        count_now = self.ledger.count_of(event.user)
-        for lv in list(self._supply):
-            if count_now <= (1 << (lv - 1)):
-                self._supply[lv] += 1
-        for lv in sorted(self.inactive):
-            if self._supply[lv] >= self._thresholds[lv]:
-                self._activate(lv)
+        # activation runs on the post-increment counts (``step`` has already
+        # moved this user in ``supply``), before this event's own release is
+        # routed
+        for level, supply, threshold in self._waiting:
+            if supply.value >= threshold:
+                self._activate(level)
 
         if not decision.released:
             return []
@@ -597,8 +695,7 @@ class FullEstimator(_WithholdReleaseBase):
         sigma = block_sum
         if level >= 2 and not self.config.clip_disabled:
             sigma = self._project(self._intervals[level], block_sum, block_size)
-        self.mechanisms[level].append(sigma)
-        self.total += block_size
+        self._append(level, sigma, block_size)
         return ["clip"] if sigma != block_sum else []
 
 

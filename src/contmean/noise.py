@@ -94,6 +94,8 @@ class BudgetLedger:
 
     total_eps: float
     entries: list[tuple[str, float]] = field(default_factory=list)
+    # running total of ``entries`` for the overrun check; ``spent`` is exact
+    _running: float = field(default=0.0, init=False, repr=False, compare=False)
 
     # Slack for accumulated float round-off only; never hides a real overrun.
     _REL_SLACK = 1e-9
@@ -101,6 +103,7 @@ class BudgetLedger:
     def __post_init__(self) -> None:
         if self.total_eps <= 0:
             raise ValueError(f"total_eps must be positive, got {self.total_eps}")
+        self._running = self.spent
 
     @property
     def spent(self) -> float:
@@ -113,11 +116,12 @@ class BudgetLedger:
     def charge(self, label: str, eps: float) -> "BudgetLedger":
         if eps <= 0:
             raise ValueError(f"charge must be positive, got {eps} for {label!r}")
-        new_total = self.spent + eps
+        new_total = self._running + eps
         if new_total > self.total_eps * (1.0 + self._REL_SLACK):
             raise BudgetExceededError(
                 f"charging {eps} for {label!r} would spend {new_total} "
                 f"of budget {self.total_eps}"
             )
         self.entries.append((label, eps))
+        self._running = new_total
         return self

@@ -71,12 +71,18 @@ def _user_sequence(ordering: OrderingSpec, n: int, m: int, T: int, rng) -> list[
     if ordering.kind == "round_robin":
         return [1 + i % n for i in range(T)]
     if ordering.kind == "uniform_random":
-        remaining = {u: m for u in range(1, n + 1)}
+        # Users that can still contribute, ascending.  A user is deleted in
+        # place once it holds m samples, once per user, so each draw indexes
+        # the same list that rebuilding it per event would give.
+        open_users = list(range(1, n + 1))
+        remaining = [m] * (n + 1)
         seq = []
         for _ in range(T):
-            open_users = [u for u, r in remaining.items() if r > 0]
-            u = int(open_users[rng.integers(len(open_users))])
+            i = int(rng.integers(len(open_users)))
+            u = open_users[i]
             remaining[u] -= 1
+            if remaining[u] == 0:
+                del open_users[i]
             seq.append(u)
         return seq
     if ordering.kind == "single_user_prefix":

@@ -88,3 +88,16 @@ def noiseless_estimates(events, algorithm, *, n, m, eps=None, delta=None):
                 total += size
         out.append((released_sum / total if total else 0.5, total))
     return out
+
+
+def uniform_random_users(n, m, T, rng):
+    """User sequence of the ``uniform_random`` ordering, rebuilding the list
+    of users with samples left at every event (O(n) per event)."""
+    remaining = {u: m for u in range(1, n + 1)}
+    seq = []
+    for _ in range(T):
+        open_users = [u for u, r in remaining.items() if r > 0]
+        u = int(open_users[rng.integers(len(open_users))])
+        remaining[u] -= 1
+        seq.append(u)
+    return seq

@@ -1,11 +1,15 @@
 """The five estimators: schedules, denominators, noise scales, budgets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contmean.estimators import (
+    ALGORITHMS,
     EstimatorConfig,
     OrderingError,
     check_diversity,
@@ -30,6 +34,30 @@ def events_of(users, values):
 def noiseless_config(algorithm, **kw):
     kw.setdefault("noise_override", 0.0)
     return EstimatorConfig(algorithm=algorithm, **kw)
+
+
+def any_config(algorithm, *, n, m, T, **kw):
+    """A config of any algorithm: fills in the horizon and prior it needs."""
+    if algorithm in ("naive", "wishful"):
+        kw.setdefault("T", T)
+    if algorithm in ("wishful", "single", "multi"):
+        kw.setdefault("prior", 0.5)
+    return EstimatorConfig(algorithm=algorithm, n=n, m=m, **kw)
+
+
+@st.composite
+def capped_streams(draw, contiguous=False):
+    """(n, m, events): at most m samples per user; user-contiguous arrival
+    (each user's samples in one run) when ``contiguous``."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 8))
+    if contiguous:
+        users = [u for u in draw(st.permutations(range(1, n + 1))) for _ in range(m)]
+    else:
+        users = draw(st.permutations([u for u in range(1, n + 1) for _ in range(m)]))
+    users = users[: draw(st.integers(1, len(users)))]
+    values = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=len(users), max_size=len(users)))
+    return n, m, events_of(users, values)
 
 
 class TestConfigValidation:
@@ -267,6 +295,27 @@ class TestFull:
             assert rec.total == exp_total
         assert len(est.active_levels()) > 2  # activation actually exercised
 
+    @settings(max_examples=60, deadline=None)
+    @given(capped_streams(), st.sampled_from([50.0, 300.0, 3000.0]))
+    def test_activation_times_match_recount_with_diversity_flag(self, stream, eps):
+        n, m, events = stream
+        delta = 0.1
+        cfg = noiseless_config("full", n=n, m=m, eps=eps, delta=delta, clip_disabled=True, track_diversity=True)
+        est = make_estimator(cfg)
+        expected = noiseless_estimates(events, "full", n=n, m=m, eps=eps, delta=delta)
+        inactive = set(range(2, math.ceil(LOG2(m)) + 1))
+        counts = {}
+        for ev, (exp_est, exp_total) in zip(events, expected):
+            counts[ev.user] = counts.get(ev.user, 0) + 1
+            for lv in sorted(inactive):
+                supply = sum(min(c, 1 << (lv - 1)) for c in counts.values())
+                if supply >= activation_threshold(lv, m, eps, delta):
+                    inactive.discard(lv)
+            rec = est.step(ev)
+            assert (rec.estimate, rec.total) == (exp_est, exp_total)
+            assert est.inactive == inactive
+            assert rec.active_levels == tuple(lv for lv in range(math.ceil(LOG2(m)) + 1) if lv not in inactive)
+
     def test_buffered_samples_excluded_from_total(self):
         cfg = noiseless_config("full", n=4, m=1024, eps=1.0, delta=0.1)
         est = make_estimator(cfg)
@@ -341,6 +390,75 @@ class TestDiversity:
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
             check_diversity({}, eps=1.0, delta=0.1, m=4)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_flag_and_report_equal_recount_every_step(self, algorithm, data):
+        n, m, events = data.draw(capped_streams(contiguous=algorithm == "wishful"))
+        eps = data.draw(st.sampled_from([0.5, 20.0, 500.0, 5000.0]))
+        seed = data.draw(st.integers(0, 3))
+        kw = dict(n=n, m=m, T=len(events), eps=eps, delta=0.1, seed=seed)
+        est = make_estimator(any_config(algorithm, **kw))
+        twin = make_estimator(any_config(algorithm, track_diversity=False, **kw))
+        counts = {}
+        for ev in events:
+            counts[ev.user] = counts.get(ev.user, 0) + 1
+            recount = check_diversity(counts, eps=eps, delta=0.1, m=m)
+            rec = est.step(ev)
+            assert ("div" in rec.flags) == recount.satisfied
+            assert est.diversity() == recount
+            # the flag is the only output that tracking changes
+            bare = twin.step(ev)
+            assert bare.flags == tuple(f for f in rec.flags if f != "div")
+            assert (bare.estimate, bare.total, bare.max_count, bare.active_levels) == (
+                rec.estimate, rec.total, rec.max_count, rec.active_levels
+            )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_report_needs_a_sample(self, algorithm):
+        est = make_estimator(any_config(algorithm, n=2, m=4, T=8, eps=1.0, delta=0.1))
+        with pytest.raises(ValueError):
+            est.diversity()
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("value", [1000.0, -0.5, 1.0 + 1e-12, math.nan, math.inf, -math.inf])
+    def test_value_outside_unit_interval_rejected(self, algorithm, value):
+        est = make_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            est.step(StreamEvent(t=1, user=1, value=value))
+        assert est.t == 0 and est.counts == {} and est.records == []
+        est.step(StreamEvent(t=1, user=1, value=1.0))  # the boundary is allowed
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_time_must_increase(self, algorithm):
+        est = make_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
+        est.step(StreamEvent(t=3, user=1, value=0.5))
+        for t in (3, 2, 0):
+            with pytest.raises(ValueError, match="does not increase"):
+                est.step(StreamEvent(t=t, user=1, value=0.5))
+        assert est.t == 1 and est.counts == {1: 1}
+        assert est.step(StreamEvent(t=7, user=1, value=0.5)).t == 2  # gaps are allowed
+
+
+class TestMemory:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_construction_allocates_nothing_of_size_n(self, algorithm):
+        n = 10**6
+        event = StreamEvent(t=1, user=n, value=0.5)
+        make_estimator(any_config(algorithm, n=4, m=64, T=n, eps=1.0, delta=0.1)).step(
+            StreamEvent(t=1, user=1, value=0.5)
+        )  # warm lazy imports and caches first
+        tracemalloc.start()
+        try:
+            est = make_estimator(any_config(algorithm, n=n, m=64, T=n, eps=1.0, delta=0.1))
+            est.step(event)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n // 10  # one byte per user would already be n
 
 
 class TestTrace:

@@ -4,13 +4,16 @@ import math
 
 import pytest
 
+from contmean.noise import spawn_rng
 from contmean.streams import (
     OrderingSpec,
+    StreamEvent,
     StreamParseError,
     generate,
     read_stream,
     write_stream,
 )
+from oracles import uniform_random_users
 
 
 def user_counts(events):
@@ -51,6 +54,17 @@ class TestGenerate:
         events = generate(0.5, 4, 5, 20, OrderingSpec("uniform_random"), seed=7)
         assert all(c <= 5 for c in user_counts(events).values())
         assert len(events) == 20
+
+    @pytest.mark.parametrize(
+        "n,m,T,seed", [(1, 1, 1, 0), (1, 5, 5, 1), (3, 2, 6, 2), (7, 9, 40, 3), (50, 3, 150, 4), (200, 64, 3000, 5)]
+    )
+    def test_uniform_random_equals_rebuilding_oracle(self, n, m, T, seed):
+        mu = 0.3
+        rng = spawn_rng(seed, 0)  # the generator ``generate`` draws from
+        users = uniform_random_users(n, m, T, rng)
+        values = rng.random(T) < mu
+        expected = [StreamEvent(t=i + 1, user=u, value=float(v)) for i, (u, v) in enumerate(zip(users, values))]
+        assert generate(mu, n, m, T, OrderingSpec("uniform_random"), seed) == expected
 
     def test_single_user_prefix(self):
         events = generate(0.5, 4, 6, 20, OrderingSpec("single_user_prefix"), seed=0)
