@@ -13,15 +13,16 @@ pay for a private-median prior.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from contmean.binmech import BinaryMechanism
 from contmean.median import MedianRequest, prior_array_count, private_median
 from contmean.noise import BudgetLedger, spawn_rng
 from contmean.streams import StreamEvent
-from contmean.truncate import TruncationInterval, interval_full, interval_single
+from contmean.truncate import TruncationInterval, interval_full, interval_single, project
 from contmean.withhold import UserLedger
 
 __all__ = [
@@ -29,12 +30,14 @@ __all__ = [
     "DiversityReport",
     "EstimatorConfig",
     "OrderingError",
+    "PrivacyRow",
     "TraceRecord",
     "check_diversity",
     "full_noise_scale",
     "make_estimator",
     "multi_noise_scale",
     "naive_noise_scale",
+    "privacy_table",
     "single_noise_scale",
     "wishful_noise_scale",
     "write_trace",
@@ -50,38 +53,137 @@ class OrderingError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Noise scales.  Logs are base 2 throughout (they index dyadic levels).
+# Privacy tables.  Logs are base 2 throughout (they index dyadic levels).
+
+
+class PrivacyRow(NamedTuple):
+    """One charge against an algorithm's budget, booked as ``label``.
+
+    The row spends ``share`` = eps / ``split``.  A counter row (``counter``
+    names the tree counter) bounds the l1 change one user can cause across
+    the counter's stored partial sums by ``sensitivity``, touching at most
+    ``entries`` of them; the counter's Laplace scale is ``eta``.  A prior
+    row pays for one prior mean; ``full``'s are private medians that fail
+    with probability at most ``beta``.
+    """
+
+    label: str
+    eps: float
+    split: int
+    counter: str | None = None
+    sensitivity: float = 0.0
+    entries: float = 0.0
+    beta: float = 0.0
+
+    @property
+    def share(self) -> float:
+        return self.eps / self.split
+
+    @property
+    def eta(self) -> float:
+        return self.sensitivity * self.split / self.eps
+
+
+def _naive_row(m: int, T: int, eps: float) -> PrivacyRow:
+    # every sample is an element of one counter; a user adds m of them
+    sensitivity = m * (1.0 + math.log2(T))
+    return PrivacyRow("mech", eps, 1, "naive", sensitivity, m * (1 + math.floor(math.log2(T))))
+
+
+def _per_user_row(
+    label: str, counter: str, eps: float, split: int, per_entry: float, n: int
+) -> PrivacyRow:
+    """A counter fed at most one element per user: each element lands in at
+    most 1 + log2(n) partial sums and moves each by at most ``per_entry``."""
+    entries = 1 + math.log2(n)
+    return PrivacyRow(label, eps, split, counter, per_entry * entries, entries)
+
+
+def _wishful_width(m: int, n: int, delta: float) -> float:
+    return math.sqrt((m / 2.0) * math.log(2.0 * n / delta)) + math.sqrt(m)
+
+
+def _wishful_row(m: int, n: int, eps: float, delta: float) -> PrivacyRow:
+    return _per_user_row("mech", "wishful", eps, 1, 2.0 * _wishful_width(m, n, delta), n)
+
+
+def _single_row(m: int, n: int, eps: float, delta: float) -> PrivacyRow:
+    width = math.sqrt((m / 2.0) * math.log(2.0 * n * math.log2(m) / delta)) + math.sqrt(m)
+    uses = math.log2(1.0 + n * (1.0 + math.log2(m)))
+    sensitivity = 2.0 * width * (1.0 + math.log2(m)) * uses
+    return PrivacyRow("mech", eps, 1, "single", sensitivity, (1 + math.log2(m)) * uses)
+
+
+def _multi_row(m: int, n: int, level: int, eps: float, delta: float) -> PrivacyRow:
+    size = 2.0 ** (level - 1)
+    width = math.sqrt((size / 2.0) * math.log(2.0 * n * math.log2(m) / delta)) + math.sqrt(size)
+    split = math.ceil(math.log2(m)) + 1
+    return _per_user_row(f"mech[{level}]", f"multi[{level}]", eps, split, 2.0 * width, n)
+
+
+def _full_row(m: int, n: int, level: int, eps: float, delta: float) -> PrivacyRow:
+    if level <= 1:
+        # identity projection; a raw sample moves by at most 1
+        per_entry = float(1 << max(level - 1, 0))
+    else:
+        per_entry = 2.0 * interval_full(0.0, level, n, m, eps, delta).half_width
+    split = 2 * (math.ceil(math.log2(m)) + 1)
+    return _per_user_row(f"mech[{level}]", f"full[{level}]", eps, split, per_entry, n)
+
+
+def _full_prior_row(m: int, level: int, eps: float, delta: float) -> PrivacyRow:
+    big_l = math.ceil(math.log2(m))
+    return PrivacyRow(f"prior[{level}]", eps, 2 * big_l, beta=delta / (3 * big_l))
+
+
+# An audit builds thousands of estimators from one config, so each table is
+# computed once.
+@functools.lru_cache(maxsize=128)
+def privacy_table(config: EstimatorConfig) -> tuple[PrivacyRow, ...]:
+    """Every charge of ``config``'s algorithm, in ledger order.
+
+    Counter rows appear in counter order: one counter for naive, wishful and
+    single, one per release level 0..L (L = ceil(log2 m)) for multi and
+    full.  A supplied prior is charged eps of its own, on top of the eps the
+    algorithm spends.  ``full`` books one median prior per level 1..L,
+    though level 1 never uses its prior.
+    """
+    m, n, eps, delta = config.m, config.n, config.eps, config.delta
+    algorithm = config.algorithm
+    if algorithm == "naive":
+        return (_naive_row(m, config.T, eps),)
+    levels = range(math.ceil(math.log2(m)) + 1)
+    if algorithm == "full":
+        return (
+            *(_full_prior_row(m, lv, eps, delta) for lv in levels[1:]),
+            *(_full_row(m, n, lv, eps, delta) for lv in levels),
+        )
+    external = PrivacyRow("prior (external)", eps, 1)
+    if algorithm == "wishful":
+        return (external, _wishful_row(m, n, eps, delta))
+    if algorithm == "single":
+        return (external, _single_row(m, n, eps, delta))
+    return (external, *(_multi_row(m, n, lv, eps, delta) for lv in levels))
+
 
 def naive_noise_scale(m: int, T: int, eps: float) -> float:
-    return m * (1.0 + math.log2(T)) / eps
+    return _naive_row(m, T, eps).eta
 
 
 def wishful_noise_scale(m: int, n: int, eps: float, delta: float) -> float:
-    width = math.sqrt((m / 2.0) * math.log(2.0 * n / delta)) + math.sqrt(m)
-    return 2.0 * width * (1.0 + math.log2(n)) / eps
+    return _wishful_row(m, n, eps, delta).eta
 
 
 def single_noise_scale(m: int, n: int, eps: float, delta: float) -> float:
-    width = math.sqrt((m / 2.0) * math.log(2.0 * n * math.log2(m) / delta)) + math.sqrt(m)
-    uses = math.log2(1.0 + n * (1.0 + math.log2(m)))
-    return 2.0 * width * (1.0 + math.log2(m)) * uses / eps
+    return _single_row(m, n, eps, delta).eta
 
 
 def multi_noise_scale(m: int, n: int, level: int, eps: float, delta: float) -> float:
-    big_l = math.ceil(math.log2(m))
-    size = 2.0 ** (level - 1)
-    width = math.sqrt((size / 2.0) * math.log(2.0 * n * math.log2(m) / delta)) + math.sqrt(size)
-    return 2.0 * width * (1.0 + math.log2(n)) * (big_l + 1) / eps
+    return _multi_row(m, n, level, eps, delta).eta
 
 
 def full_noise_scale(m: int, n: int, level: int, eps: float, delta: float) -> float:
-    big_l = math.ceil(math.log2(m))
-    if level <= 1:
-        # identity projection; a raw sample moves by at most 1
-        sensitivity = float(1 << max(level - 1, 0))
-    else:
-        sensitivity = 2.0 * interval_full(0.0, level, n, m, eps, delta).half_width
-    return sensitivity * (1.0 + math.log2(n)) * 2.0 * (big_l + 1) / eps
+    return _full_row(m, n, level, eps, delta).eta
 
 
 # --------------------------------------------------------------------------
@@ -178,10 +280,14 @@ class DiversityReport:
 
 
 def _diversity_rhs(max_count: int, eps: float, delta: float, m: int) -> float:
-    big_l = math.ceil(math.log2(m))
-    return (max_count / 2.0) * (16.0 / eps) * (
-        2.0 * big_l * math.log(3.0 * big_l * math.sqrt(max_count) / delta)
-    )
+    """Samples, capped at M_t/2 per user, that buy ``full``'s median priors
+    (at its prior rows' share and failure probability) at scale M_t."""
+    if m == 1:
+        # nothing is withheld, so the condition is vacuous (the limit of
+        # L log L as L -> 0)
+        return 0.0
+    prior = _full_prior_row(m, 1, eps, delta)
+    return (max_count / 2.0) * (16.0 / prior.share) * math.log(math.sqrt(max_count) / prior.beta)
 
 
 def _diversity_report(lhs: float, max_count: int, eps: float, delta: float, m: int) -> DiversityReport:
@@ -272,6 +378,8 @@ class _EstimatorBase:
     """Shared event loop: input checks, count bookkeeping, trace records,
     publication.
 
+    The counters and the budget ledger are built from one privacy table, so
+    each counter's noise scale and its ledger share come from the same row.
     Per-user counts live in ``counts`` (users seen so far only) and, as a
     histogram with capped sums, in ``supply``; a ``step`` costs O(1) in n.
 
@@ -285,7 +393,20 @@ class _EstimatorBase:
         self.t = 0
         self.total = 0
         self.records: list[TraceRecord] = []
-        self.budget = self._make_budget()
+        self.table = privacy_table(config)
+        self.budget = BudgetLedger(2.0 * config.eps if config.prior is not None else config.eps)
+        for row in self.table:
+            self.budget.charge(row.label, row.share)
+        noise = config.noise_override
+        counters = [row for row in self.table if row.counter is not None]
+        self.mechanisms = [
+            BinaryMechanism(
+                row.eta if noise is None else noise,
+                lambda i=i: spawn_rng(config.seed, 1, i),
+                label=row.counter,
+            )
+            for i, row in enumerate(counters)
+        ]
         self.counts: dict[int, int] = {}
         self.supply = CappedSupply(config.n, config.m)
         self._last_t = 0
@@ -293,11 +414,13 @@ class _EstimatorBase:
         # only when M_t rises
         self._half_supply = self.supply.track(0.0) if config.track_diversity else None
         self._diversity_rhs = math.inf
+        self._active: tuple[int, ...] | None = None  # set by estimators that hold levels back
 
     # -- subclass hooks ----------------------------------------------------
 
-    def _make_budget(self) -> BudgetLedger:
-        raise NotImplementedError
+    def _admit(self, event: StreamEvent) -> None:
+        """Raise if this estimator cannot take ``event``; runs before any
+        state changes."""
 
     def _process(self, event: StreamEvent) -> list[str]:
         """Consume one event: count it in ``counts``, update mechanisms and
@@ -305,17 +428,17 @@ class _EstimatorBase:
         raise NotImplementedError
 
     def _noisy_sum(self) -> float:
-        raise NotImplementedError
+        return self.mechanisms[0].sum()
+
+    def _estimate_without_data(self, flags: list[str]) -> float:
+        """The estimate published while ``total`` is 0."""
+        flags.append("nodata")
+        return 0.5
 
     def active_levels(self) -> tuple[int, ...] | None:
-        return None
+        return self._active
 
     # -- common loop -------------------------------------------------------
-
-    def _scale(self, eta: float) -> float:
-        if self.config.noise_override is not None:
-            return self.config.noise_override
-        return eta
 
     def step(self, event: StreamEvent) -> TraceRecord:
         cfg = self.config
@@ -330,6 +453,7 @@ class _EstimatorBase:
         count = self.counts.get(user, 0)
         if count >= cfg.m:
             raise ValueError(f"user {user} exceeds the per-user cap m={cfg.m}")
+        self._admit(event)
         self.t += 1
         self._last_t = event.t
         supply = self.supply
@@ -338,8 +462,7 @@ class _EstimatorBase:
         flags = self._process(event)
 
         if self.total == 0:
-            estimate = 0.5
-            flags.append("nodata")
+            estimate = self._estimate_without_data(flags)
         else:
             estimate = self._noisy_sum() / self.total
             if not 0.0 <= estimate <= 1.0:
@@ -360,7 +483,7 @@ class _EstimatorBase:
             estimate=estimate,
             total=self.total,
             max_count=supply.max_count,
-            active_levels=self.active_levels(),
+            active_levels=self._active,
             flags=tuple(flags),
         )
         if cfg.keep_trace:
@@ -378,141 +501,101 @@ class _EstimatorBase:
         cfg = self.config
         return _diversity_report(lhs, max_count, cfg.eps, cfg.delta, cfg.m)
 
-    def _project(self, interval: TruncationInterval, s: float, block_size: int) -> float:
-        # intervals are intersected with [0, block_size]: honest block sums
-        # cannot leave that range, so the intersection only tightens the
-        # formal sensitivity
-        lo = max(interval.lo, 0.0)
-        hi = min(interval.hi, float(block_size))
-        return min(max(s, lo), hi)
-
 
 class NaiveEstimator(_EstimatorBase):
     """Every sample goes straight into one counter; estimate is sum/t."""
 
-    def __init__(self, config: EstimatorConfig):
-        super().__init__(config)
-        eta = naive_noise_scale(config.m, config.T, config.eps)
-        self.mechanisms = [
-            BinaryMechanism(self._scale(eta), lambda: spawn_rng(config.seed, 1, 0), label="naive")
-        ]
-
-    def _make_budget(self) -> BudgetLedger:
-        return BudgetLedger(self.config.eps).charge("mech", self.config.eps)
+    def _admit(self, event: StreamEvent) -> None:
+        if self.t >= self.config.T:
+            raise ValueError(f"stream longer than configured T={self.config.T}")
 
     def _process(self, event: StreamEvent) -> list[str]:
         self.counts[event.user] = self.counts.get(event.user, 0) + 1
-        if self.t > self.config.T:
-            raise ValueError(f"stream longer than configured T={self.config.T}")
         self.mechanisms[0].append(event.value)
         self.total = self.t
         return []
 
-    def _noisy_sum(self) -> float:
-        return self.mechanisms[0].sum()
 
-
-class WishfulEstimator(_EstimatorBase):
+class WishfulEstimator(NaiveEstimator):
     """Waits for each user's full batch of m samples, then feeds one
-    truncated batch sum.  Requires user-contiguous arrival."""
+    truncated batch sum.  Requires user-contiguous arrival, and publishes
+    the prior until the first batch completes."""
 
     def __init__(self, config: EstimatorConfig):
         super().__init__(config)
-        eta = wishful_noise_scale(config.m, config.n, config.eps, config.delta)
-        self.mechanisms = [
-            BinaryMechanism(self._scale(eta), lambda: spawn_rng(config.seed, 1, 0), label="wishful")
-        ]
-        width = math.sqrt((config.m / 2.0) * math.log(2.0 * config.n / config.delta))
-        width += math.sqrt(config.m)
-        self._interval = TruncationInterval(
-            center=config.m * config.prior, half_width=width, level=0
-        )
-        self._block: list[float] = []
-        self._active_user: int | None = None
-        self._finished: set[int] = set()
+        width = _wishful_width(config.m, config.n, config.delta)
+        self._interval = TruncationInterval(center=config.m * config.prior, half_width=width, level=0)
+        self._block: list[float] = []  # the open batch of the last user
 
-    def _make_budget(self) -> BudgetLedger:
-        eps = self.config.eps
-        ledger = BudgetLedger(2.0 * eps)
-        ledger.charge("prior (external)", eps)
-        ledger.charge("mech", eps)
-        return ledger
-
-    def _check_contiguous(self, user: int) -> None:
-        if user in self._finished or (
-            self._active_user is not None and user != self._active_user
-        ):
+    def _admit(self, event: StreamEvent) -> None:
+        super()._admit(event)
+        # while a batch is open only its user may arrive; a returning user
+        # that already gave all m samples fails the per-user cap first
+        if self._block and event.user not in self.counts:
             raise OrderingError(
-                f"user {user} at t={self.t} breaks the user-contiguous arrival "
+                f"user {event.user} at t={self.t + 1} breaks the user-contiguous arrival "
                 "this estimator requires"
             )
 
     def _process(self, event: StreamEvent) -> list[str]:
         self.counts[event.user] = self.counts.get(event.user, 0) + 1
-        if self.t > self.config.T:
-            raise ValueError(f"stream longer than configured T={self.config.T}")
-        self._check_contiguous(event.user)
-        self._active_user = event.user
         self._block.append(event.value)
-        flags: list[str] = []
-        if len(self._block) == self.config.m:
-            raw = math.fsum(self._block)
-            sigma = raw
-            if not self.config.clip_disabled:
-                sigma = self._project(self._interval, raw, self.config.m)
-            if sigma != raw:
-                flags.append("clip")
-            self.mechanisms[0].append(sigma)
-            self.total += self.config.m
-            self._finished.add(event.user)
-            self._active_user = None
-            self._block = []
-        return flags
+        m = self.config.m
+        if len(self._block) < m:
+            return []
+        raw = math.fsum(self._block)
+        sigma = raw if self.config.clip_disabled else project(self._interval, raw, m)
+        self.mechanisms[0].append(sigma)
+        self.total += m
+        self._block = []
+        return ["clip"] if sigma != raw else []
 
-    def step(self, event: StreamEvent) -> TraceRecord:
-        record = super().step(event)
-        if self.t < self.config.m:
-            # warm-up: publish the prior itself
-            record = TraceRecord(
-                t=record.t,
-                user=record.user,
-                estimate=self.config.prior,
-                total=record.total,
-                max_count=record.max_count,
-                active_levels=None,
-                flags=tuple(f for f in record.flags if f != "nodata"),
-            )
-            if self.config.keep_trace:
-                self.records[-1] = record
-        return record
-
-    def _noisy_sum(self) -> float:
-        return self.mechanisms[0].sum()
+    def _estimate_without_data(self, flags: list[str]) -> float:
+        # contiguous arrival makes total 0 exactly while t < m
+        return self.config.prior
 
 
-class _WithholdReleaseBase(_EstimatorBase):
-    """Common release handling for the schedule-driven estimators."""
+class WithholdReleaseEstimator(_EstimatorBase):
+    """The withhold-release schedule: ``single`` and ``multi``, and the
+    base of ``full``.
+
+    Each released block is projected onto its level's interval from level
+    ``_first_clipped`` up, then fed to counter 0 when the privacy table has
+    one counter, else to its level's counter.  Intervals are centred on the
+    supplied prior on first use; ``full`` sets them when a level activates.
+    """
+
+    _first_clipped = 1
 
     def __init__(self, config: EstimatorConfig):
         super().__init__(config)
         self.ledger = UserLedger()
         self.counts = self.ledger.counts  # the ledger counts each sample
+        levels = math.ceil(math.log2(config.m)) + 1
+        # counter index fed by each release level
+        self._feeds = [0] * levels if len(self.mechanisms) == 1 else list(range(levels))
+        self._intervals: dict[int, TruncationInterval] = {}
         self._sum: float | None = 0.0  # noisy sum over all counters, until the next append
-
-    def _handle_release(self, level: int, block_sum: float, block_size: int) -> list[str]:
-        raise NotImplementedError
-
-    def _append(self, index: int, sigma: float, block_size: int) -> None:
-        """Feed one (projected) block sum to counter ``index``."""
-        self.mechanisms[index].append(sigma)
-        self.total += block_size
-        self._sum = None
 
     def _process(self, event: StreamEvent) -> list[str]:
         decision = self.ledger.on_sample(event.user, event.value)
         if not decision.released:
             return []
-        return self._handle_release(decision.level, decision.block_sum, decision.block_size)
+        return self._release(decision.level, decision.block_sum, decision.block_size)
+
+    def _release(self, level: int, block_sum: float, block_size: int) -> list[str]:
+        sigma = block_sum
+        if level >= self._first_clipped and not self.config.clip_disabled:
+            interval = self._intervals.get(level)
+            if interval is None:
+                cfg = self.config
+                interval = interval_single(cfg.prior, level, cfg.m, cfg.n, cfg.delta)
+                self._intervals[level] = interval
+            sigma = project(interval, block_sum, block_size)
+        self.mechanisms[self._feeds[level]].append(sigma)
+        self.total += block_size
+        self._sum = None
+        return ["clip"] if sigma != block_sum else []
 
     def _noisy_sum(self) -> float:
         if self._sum is None:
@@ -520,127 +603,30 @@ class _WithholdReleaseBase(_EstimatorBase):
         return self._sum
 
 
-class SingleCounterEstimator(_WithholdReleaseBase):
-    """Withhold-release blocks, all truncated into one counter."""
-
-    def __init__(self, config: EstimatorConfig):
-        super().__init__(config)
-        eta = single_noise_scale(config.m, config.n, config.eps, config.delta)
-        self.mechanisms = [
-            BinaryMechanism(self._scale(eta), lambda: spawn_rng(config.seed, 1, 0), label="single")
-        ]
-        self._intervals: dict[int, TruncationInterval] = {}
-
-    def _make_budget(self) -> BudgetLedger:
-        eps = self.config.eps
-        ledger = BudgetLedger(2.0 * eps)
-        ledger.charge("prior (external)", eps)
-        ledger.charge("mech", eps)
-        return ledger
-
-    def _interval_at(self, level: int) -> TruncationInterval:
-        if level not in self._intervals:
-            cfg = self.config
-            self._intervals[level] = interval_single(cfg.prior, level, cfg.m, cfg.n, cfg.delta)
-        return self._intervals[level]
-
-    def _handle_release(self, level: int, block_sum: float, block_size: int) -> list[str]:
-        sigma = block_sum
-        if level >= 1 and not self.config.clip_disabled:
-            sigma = self._project(self._interval_at(level), block_sum, block_size)
-        self._append(0, sigma, block_size)
-        return ["clip"] if sigma != block_sum else []
-
-
-class MultiCounterEstimator(_WithholdReleaseBase):
-    """Withhold-release blocks, one counter per level with level-sized noise."""
-
-    def __init__(self, config: EstimatorConfig):
-        super().__init__(config)
-        self.big_l = math.ceil(math.log2(config.m))
-        self.mechanisms = [
-            BinaryMechanism(
-                self._scale(multi_noise_scale(config.m, config.n, lv, config.eps, config.delta)),
-                lambda lv=lv: spawn_rng(config.seed, 1, lv),
-                label=f"multi[{lv}]",
-            )
-            for lv in range(self.big_l + 1)
-        ]
-        self._intervals: dict[int, TruncationInterval] = {}
-
-    def _make_budget(self) -> BudgetLedger:
-        eps = self.config.eps
-        big_l = math.ceil(math.log2(self.config.m))
-        ledger = BudgetLedger(2.0 * eps)
-        ledger.charge("prior (external)", eps)
-        for lv in range(big_l + 1):
-            ledger.charge(f"mech[{lv}]", eps / (big_l + 1))
-        return ledger
-
-    def _interval_at(self, level: int) -> TruncationInterval:
-        if level not in self._intervals:
-            cfg = self.config
-            self._intervals[level] = interval_single(cfg.prior, level, cfg.m, cfg.n, cfg.delta)
-        return self._intervals[level]
-
-    def _handle_release(self, level: int, block_sum: float, block_size: int) -> list[str]:
-        sigma = block_sum
-        if level >= 1 and not self.config.clip_disabled:
-            sigma = self._project(self._interval_at(level), block_sum, block_size)
-        self._append(level, sigma, block_size)
-        return ["clip"] if sigma != block_sum else []
-
-
-class FullEstimator(_WithholdReleaseBase):
+class FullEstimator(WithholdReleaseEstimator):
     """No prior needed: levels >= 2 buffer their blocks until enough
     distinct users justify a private-median prior, then flush."""
 
+    _first_clipped = 2
+
     def __init__(self, config: EstimatorConfig):
         super().__init__(config)
-        cfg = config
-        self.big_l = math.ceil(math.log2(cfg.m))
-        self.mechanisms = [
-            BinaryMechanism(
-                self._scale(full_noise_scale(cfg.m, cfg.n, lv, cfg.eps, cfg.delta)),
-                lambda lv=lv: spawn_rng(cfg.seed, 1, lv),
-                label=f"full[{lv}]",
-            )
-            for lv in range(self.big_l + 1)
-        ]
-        self.inactive: set[int] = set(range(2, self.big_l + 1))
+        big_l = len(self.mechanisms) - 1
+        self.inactive: set[int] = set(range(2, len(self.mechanisms)))
         self.buffers: dict[int, list[float]] = {lv: [] for lv in self.inactive}
         self.priors: dict[int, float] = {}
-        self._intervals: dict[int, TruncationInterval] = {}
+        self._prior_rows = dict(enumerate(self.table[:big_l], start=1))
+        # each user's first 2^(L-1) events: the most any level's median reads
         self._history: list[StreamEvent] = []
+        self._history_cap = 1 << (big_l - 1) if self.inactive else 0
         # (level, sum_u min(M(u), 2^(level-1)), activation threshold) per
-        # inactive level, ascending
-        self._waiting = tuple(
-            (
-                lv,
-                self.supply.track(1 << (lv - 1)),
-                (1 << (lv - 1))
-                * math.ceil(
-                    prior_array_count(
-                        cfg.eps / (2.0 * self.big_l), lv, cfg.delta / (3.0 * self.big_l)
-                    )
-                ),
-            )
-            for lv in sorted(self.inactive)
-        )
+        # inactive level, ascending; the threshold fills the level's median arrays
+        self._waiting: list[tuple[int, CappedSum, int]] = []
+        for lv in sorted(self.inactive):
+            row = self._prior_rows[lv]
+            threshold = (1 << (lv - 1)) * math.ceil(prior_array_count(row.share, lv, row.beta))
+            self._waiting.append((lv, self.supply.track(1 << (lv - 1)), threshold))
         self._active = (0, 1)
-
-    def _make_budget(self) -> BudgetLedger:
-        eps = self.config.eps
-        big_l = math.ceil(math.log2(self.config.m))
-        ledger = BudgetLedger(eps)
-        for lv in range(1, big_l + 1):
-            ledger.charge(f"prior[{lv}]", eps / (2.0 * big_l))
-        for lv in range(big_l + 1):
-            ledger.charge(f"mech[{lv}]", eps / (2.0 * (big_l + 1)))
-        return ledger
-
-    def active_levels(self) -> tuple[int, ...]:
-        return self._active
 
     def buffered_sample_count(self) -> int:
         return sum((1 << (lv - 1)) * len(vals) for lv, vals in self.buffers.items())
@@ -649,61 +635,48 @@ class FullEstimator(_WithholdReleaseBase):
         cfg = self.config
         if cfg.prior_override is not None:
             return cfg.prior_override
-        request = MedianRequest(
-            history=tuple(self._history),
-            eps=cfg.eps / (2.0 * self.big_l),
-            level=level,
-            beta=cfg.delta / (3.0 * self.big_l),
-        )
+        row = self._prior_rows[level]
+        request = MedianRequest(tuple(self._history), row.share, level, row.beta)
         return private_median(request, spawn_rng(cfg.seed, 2, level))
 
-    def _activate(self, level: int) -> None:
+    def _activate(self, level: int, capped: CappedSum) -> None:
         cfg = self.config
         prior = self._prior_for(level)
         self.priors[level] = prior
         self._intervals[level] = interval_full(prior, level, cfg.n, cfg.m, cfg.eps, cfg.delta)
-        for raw in self.buffers.pop(level):
-            sigma = raw
-            if not cfg.clip_disabled:
-                sigma = self._project(self._intervals[level], raw, 1 << (level - 1))
-            self._append(level, sigma, 1 << (level - 1))
         self.inactive.discard(level)
-        done = next(w for w in self._waiting if w[0] == level)
-        self.supply.untrack(done[1])
-        self._waiting = tuple(w for w in self._waiting if w is not done)
-        self._active = tuple(lv for lv in range(self.big_l + 1) if lv not in self.inactive)
+        for raw in self.buffers.pop(level):
+            self._release(level, raw, 1 << (level - 1))
+        self.supply.untrack(capped)
+        self._waiting = [w for w in self._waiting if w[0] != level]
+        self._active = tuple(lv for lv in range(len(self.mechanisms)) if lv not in self.inactive)
+        if not self.inactive:
+            self._history = []
+            self._history_cap = 0
 
     def _process(self, event: StreamEvent) -> list[str]:
-        self._history.append(event)
+        if self.counts.get(event.user, 0) < self._history_cap:
+            self._history.append(event)
+        # activation reads the post-increment counts (``step`` has already
+        # moved this user in ``supply``) and runs before this event's own
+        # release is routed
+        for level, capped, threshold in self._waiting:
+            if capped.value >= threshold:
+                self._activate(level, capped)
         decision = self.ledger.on_sample(event.user, event.value)
-
-        # activation runs on the post-increment counts (``step`` has already
-        # moved this user in ``supply``), before this event's own release is
-        # routed
-        for level, supply, threshold in self._waiting:
-            if supply.value >= threshold:
-                self._activate(level)
-
         if not decision.released:
             return []
-        return self._handle_release(decision.level, decision.block_sum, decision.block_size)
-
-    def _handle_release(self, level: int, block_sum: float, block_size: int) -> list[str]:
-        if level in self.inactive:
-            self.buffers[level].append(block_sum)
+        if decision.level in self.inactive:
+            self.buffers[decision.level].append(decision.block_sum)
             return []
-        sigma = block_sum
-        if level >= 2 and not self.config.clip_disabled:
-            sigma = self._project(self._intervals[level], block_sum, block_size)
-        self._append(level, sigma, block_size)
-        return ["clip"] if sigma != block_sum else []
+        return self._release(decision.level, decision.block_sum, decision.block_size)
 
 
 _CLASSES = {
     "naive": NaiveEstimator,
     "wishful": WishfulEstimator,
-    "single": SingleCounterEstimator,
-    "multi": MultiCounterEstimator,
+    "single": WithholdReleaseEstimator,
+    "multi": WithholdReleaseEstimator,
     "full": FullEstimator,
 }
 

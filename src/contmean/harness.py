@@ -13,22 +13,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from contmean.estimators import (
-    EstimatorConfig,
-    full_noise_scale,
-    make_estimator,
-    multi_noise_scale,
-    naive_noise_scale,
-    single_noise_scale,
-    write_trace,
-)
+from contmean.estimators import EstimatorConfig, make_estimator, privacy_table, write_trace
 from contmean.streams import OrderingSpec, StreamEvent, generate
 
 __all__ = [
@@ -254,35 +245,9 @@ def _collect_nps(config: EstimatorConfig, events: Sequence[StreamEvent]) -> list
 
 
 def _per_mechanism_bounds(config: EstimatorConfig) -> list[tuple[str, float, float]]:
-    """(label, entry_count_bound, l1_bound) per mechanism.
-
-    The l1 bound is the numerator of the noise-scale formula, i.e. the
-    worst-case l1 disturbance the Laplace scale was calibrated against.
-    """
-    m, n, eps, delta = config.m, config.n, config.eps, config.delta
-    if config.algorithm == "naive":
-        count = m * (1 + math.floor(math.log2(config.T)))
-        l1 = naive_noise_scale(m, config.T, eps) * eps
-        return [("naive", count, l1)]
-    if config.algorithm == "single":
-        count = (1 + math.log2(m)) * math.log2(1 + n * (1 + math.log2(m)))
-        l1 = single_noise_scale(m, n, eps, delta) * eps
-        return [("single", count, l1)]
-    big_l = math.ceil(math.log2(m))
-    count = 1 + math.log2(n)
-    if config.algorithm == "multi":
-        return [
-            (f"multi[{lv}]", count, multi_noise_scale(m, n, lv, eps, delta) * eps / (big_l + 1))
-            for lv in range(big_l + 1)
-        ]
-    return [
-        (
-            f"full[{lv}]",
-            count,
-            full_noise_scale(m, n, lv, eps, delta) * eps / (2 * (big_l + 1)),
-        )
-        for lv in range(big_l + 1)
-    ]
+    """(label, entry_count_bound, l1_bound) per mechanism, from its privacy-table row."""
+    table = privacy_table(config)
+    return [(row.counter, row.entries, row.sensitivity) for row in table if row.counter is not None]
 
 
 def _value_grid_runs(

@@ -85,6 +85,11 @@ def interval_full(
     return TruncationInterval(center=size * prior_ell, half_width=width, level=level)
 
 
-def project(interval: TruncationInterval, s: float) -> float:
-    """Clamp s into the interval (identity on interior points)."""
-    return min(max(s, interval.lo), interval.hi)
+def project(interval: TruncationInterval, s: float, block_size: int | None = None) -> float:
+    """Clamp s into the interval (identity on interior points), first
+    intersected with [0, block_size] when a block size is given: honest
+    block sums cannot leave that range, so this only tightens the
+    sensitivity."""
+    if block_size is None:
+        return min(max(s, interval.lo), interval.hi)
+    return min(max(s, max(interval.lo, 0.0)), min(interval.hi, float(block_size)))

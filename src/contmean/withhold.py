@@ -79,6 +79,3 @@ class UserLedger:
 
     def count_of(self, user_id: int) -> int:
         return self.counts.get(user_id, 0)
-
-    def max_count(self) -> int:
-        return max(self.counts.values(), default=0)

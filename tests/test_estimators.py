@@ -20,6 +20,8 @@ from contmean.estimators import (
     single_noise_scale,
     write_trace,
 )
+from contmean.median import MedianRequest, private_median
+from contmean.noise import spawn_rng
 from contmean.streams import OrderingSpec, StreamEvent, generate
 from oracles import activation_threshold, noiseless_estimates
 
@@ -337,6 +339,40 @@ class TestFull:
         assert est.priors[2] == 0.25
 
 
+class TestFullHistory:
+    """``full`` keeps each user's first 2^(L-1) events for its median priors,
+    and nothing once every level is active."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("ordering", ["uniform_random", "single_user_prefix"])
+    def test_priors_equal_median_of_untrimmed_history(self, seed, ordering):
+        n, m, eps, delta = 30, 16, 300.0, 0.1
+        big_l = math.ceil(LOG2(m))
+        events = generate(0.5, n, m, 400, OrderingSpec(ordering), seed=seed)
+        est = make_estimator(EstimatorConfig(algorithm="full", n=n, m=m, eps=eps, delta=delta, seed=seed))
+        untrimmed, trimmed_at_activation = [], False
+        for ev in events:
+            untrimmed.append(ev)
+            before = set(est.priors)
+            est.step(ev)
+            assert len(est._history) <= n * (1 << (big_l - 1))
+            for level in sorted(set(est.priors) - before):
+                request = MedianRequest(
+                    history=tuple(untrimmed), eps=eps / (2 * big_l), level=level, beta=delta / (3 * big_l)
+                )
+                assert est.priors[level] == private_median(request, spawn_rng(seed, 2, level))
+                trimmed_at_activation |= len(est._history) < len(untrimmed)
+        assert not est.inactive and sorted(est.priors) == [2, 3, 4]
+        assert est._history == []
+        if ordering == "single_user_prefix":
+            assert trimmed_at_activation
+
+    def test_no_history_without_inactive_levels(self):
+        est = make_estimator(noiseless_config("full", n=2, m=2, eps=1.0, delta=0.1))
+        est.run(events_of([1, 2, 1], [1.0, 0.0, 1.0]))
+        assert est._history == []
+
+
 class TestAccountingInvariant:
     @pytest.mark.parametrize("algorithm", ["single", "multi", "full"])
     def test_total_plus_withheld_equals_t(self, algorithm):
@@ -441,6 +477,51 @@ class TestInputValidation:
                 est.step(StreamEvent(t=t, user=1, value=0.5))
         assert est.t == 1 and est.counts == {1: 1}
         assert est.step(StreamEvent(t=7, user=1, value=0.5)).t == 2  # gaps are allowed
+
+
+class TestRejectedEvents:
+    """A rejected event leaves no trace: the estimator goes on as a twin
+    that never saw it."""
+
+    def test_wishful_ordering_error(self):
+        kw = dict(n=3, m=4, T=12, eps=1.0, delta=0.1, prior=0.5, seed=2)
+        est, twin = make_estimator(EstimatorConfig("wishful", **kw)), make_estimator(EstimatorConfig("wishful", **kw))
+        for ev in events_of([1, 1], [1.0, 0.0]):
+            est.step(ev)
+            twin.step(ev)
+        with pytest.raises(OrderingError):
+            est.step(StreamEvent(t=3, user=2, value=1.0))
+        assert (est.t, est.counts) == (2, {1: 2})
+        for ev in events_of([1, 1, 1, 1, 2], [1.0, 1.0, 0.0, 1.0, 1.0])[2:]:
+            assert est.step(ev) == twin.step(ev)
+
+    def test_naive_stream_longer_than_t(self):
+        kw = dict(n=2, m=4, T=3, eps=1.0, delta=0.1, seed=2)
+        est, twin = make_estimator(EstimatorConfig("naive", **kw)), make_estimator(EstimatorConfig("naive", **kw))
+        events = events_of([1, 2, 1], [1.0, 0.0, 1.0])
+        est.run(events)
+        twin.run(events)
+        with pytest.raises(ValueError, match="longer than configured T"):
+            est.step(StreamEvent(t=4, user=2, value=1.0))
+        assert (est.t, est.counts, est.total) == (twin.t, twin.counts, twin.total)
+        assert est.supply.hist == twin.supply.hist and est.diversity() == twin.diversity()
+        assert est.mechanisms[0].noisy_partial_sums == twin.mechanisms[0].noisy_partial_sums
+
+
+class TestOneSamplePerUser:
+    """m = 1 withholds nothing, so the diversity condition holds vacuously."""
+
+    @pytest.mark.parametrize("algorithm", ["naive", "wishful"])
+    def test_step_with_diversity_flag(self, algorithm):
+        n = 5
+        est = make_estimator(any_config(algorithm, n=n, m=1, T=n, eps=1.0, delta=0.1))
+        records = est.run(events_of(range(1, n + 1), [1.0, 0.0, 1.0, 1.0, 0.0]))
+        assert all("div" in rec.flags for rec in records)
+        assert est.diversity() == check_diversity(est.counts, eps=1.0, delta=0.1, m=1)
+
+    def test_check_diversity(self):
+        report = check_diversity({1: 1, 2: 1}, eps=1.0, delta=0.1, m=1)
+        assert report.satisfied and report.rhs == 0.0
 
 
 class TestMemory:

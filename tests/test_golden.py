@@ -1,0 +1,89 @@
+"""Seeded outputs pinned by hash.
+
+For each algorithm, setting and seed, one sha256 covers every field of every
+``TraceRecord`` (the ``div`` flag included), the budget ledger's entries,
+each counter's label and noise scale, and ``full``'s private-median priors.
+A refactor that claims bit-identical outputs must leave every digest as it
+is.  Setting ``dense`` activates every ``full`` level with real
+private-median priors; setting ``odd`` uses an m that is not a power of two
+and a prior far from the stream mean, so blocks are clipped.
+"""
+
+import hashlib
+
+import pytest
+
+from contmean.estimators import ALGORITHMS, EstimatorConfig, make_estimator
+from contmean.streams import OrderingSpec, generate
+
+SETTINGS = {
+    "dense": dict(n=30, m=16, T=300, eps=300.0, delta=0.1, mu=0.5),
+    "odd": dict(n=9, m=100, T=400, eps=2.0, delta=0.05, mu=0.9),
+}
+SEEDS = (3, 11)
+
+# recorded before the withhold-release classes were merged
+GOLDEN = {
+    ('naive', 'dense', 3): 'cf29ef8325c7cf8d0ead4f90d96e90c83ecf473b74bf01e4c1fb59d7b630a723',
+    ('naive', 'dense', 11): '0824c14be7c3080b154e693095647785b704da81467b8db84b37a8b386a3d1c9',
+    ('naive', 'odd', 3): '00302720948fd285faea1557c1fbccef34ded22208db367e600704d6bee8d69a',
+    ('naive', 'odd', 11): '9058fa33af8e003fdcf1fae7ebd956557f43c452bc4ce56d75d91b457498c787',
+    ('wishful', 'dense', 3): '470ba39c08202108621ab696cfb02ef333b936722fab5a9df43b75e9314ea8f5',
+    ('wishful', 'dense', 11): 'ea72ad744a9e25ea2afcabdb7b3a2e0502ba48a35e8eeb99a56f7bc83df432e9',
+    ('wishful', 'odd', 3): 'f52e714909a6e3cf395066bc622d7a78cebde7bc70eead7fce1bc1d1a5b58e93',
+    ('wishful', 'odd', 11): '67400ece632c047b3e06aa8940cca3f66af50688e3d2f2cda608bc2d112c5204',
+    ('single', 'dense', 3): '0a84637ebc1ef031418ead4a60bd470cd6e17643bdbc5ef411a229980c6e26cb',
+    ('single', 'dense', 11): '9a3f89de25dff874e78f0a53181c5f80f51bc8795ca1fe1a6d231a4c67ab3661',
+    ('single', 'odd', 3): '80abb489d42b6abb6afe361b7b83c0ebf17494735198c6a89bddf586d229c809',
+    ('single', 'odd', 11): '079ea86e37ce71ccd6ca3a366009b55654aed11acdc31b240753e13f281f8619',
+    ('multi', 'dense', 3): '77adf2f0da0c6c8f5efc5a76f7ab92815cdae88caee0a1f584fafd2c2aeb7204',
+    ('multi', 'dense', 11): '0988070125742f4792ea474b00bce461f8a6b755c297cc08195148fe96974fc8',
+    ('multi', 'odd', 3): 'c3f03e23ba5c1cc11ad5c5ecdc1893756757a5b5340854e0c5b6dec42def20fa',
+    ('multi', 'odd', 11): 'e4baa164d5059e4647b949e67b2878a602de72e9b1efb6f9af99548999eccda8',
+    ('full', 'dense', 3): 'acb55b4a0dfaa1ff3aaf8c7c59f0562ddb7bcf06dfb99d1ade928ec27b997862',
+    ('full', 'dense', 11): 'adeaed0194dcaa1ad04285e781e5cb2a9ce0fed20e65d92568656783435e913f',
+    ('full', 'odd', 3): '3bdb38d2b491f00a5ba2679f66799e13e971db65348e3b265f1f7f8a70e969a5',
+    ('full', 'odd', 11): 'b6a17f9752a90a5445a9b3d9622d7e588d29c8d5c11cd77bf4959dcb5df79a5b',
+}
+
+
+def run_digest(algorithm: str, setting: str, seed: int) -> str:
+    p = SETTINGS[setting]
+    ordering = "contiguous" if algorithm == "wishful" else "uniform_random"
+    events = generate(p["mu"], p["n"], p["m"], p["T"], OrderingSpec(ordering), seed=seed + 100)
+    kw = {}
+    if algorithm in ("naive", "wishful"):
+        kw["T"] = p["T"]
+    if algorithm in ("wishful", "single", "multi"):
+        kw["prior"] = 0.1
+    config = EstimatorConfig(
+        algorithm=algorithm, n=p["n"], m=p["m"], eps=p["eps"], delta=p["delta"], seed=seed, **kw
+    )
+    est = make_estimator(config)
+    lines = []
+    for ev in events:
+        r = est.step(ev)
+        lines.append(f"{r.t} {r.user} {r.estimate!r} {r.total} {r.max_count} {r.active_levels} {r.flags}")
+    lines.append(f"budget {est.budget.total_eps!r} {[(label, repr(e)) for label, e in est.budget.entries]}")
+    lines.append(f"counters {[(mech.label, repr(mech.eta)) for mech in est.mechanisms]}")
+    lines.append(f"priors {sorted((lv, repr(v)) for lv, v in getattr(est, 'priors', {}).items())}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+CASES = [(a, s, seed) for a in ALGORITHMS for s in SETTINGS for seed in SEEDS]
+
+
+@pytest.mark.parametrize("algorithm,setting,seed", CASES)
+def test_seeded_outputs_unchanged(algorithm, setting, seed):
+    assert run_digest(algorithm, setting, seed) == GOLDEN[(algorithm, setting, seed)]
+
+
+def test_dense_setting_activates_full_with_private_priors():
+    p = SETTINGS["dense"]
+    events = generate(0.5, p["n"], p["m"], p["T"], OrderingSpec("uniform_random"), seed=SEEDS[0] + 100)
+    est = make_estimator(
+        EstimatorConfig(algorithm="full", n=p["n"], m=p["m"], eps=p["eps"], delta=p["delta"], seed=SEEDS[0])
+    )
+    flags = [est.step(ev).flags for ev in events]
+    assert not est.inactive and sorted(est.priors) == [2, 3, 4]
+    assert any("div" in f for f in flags)

@@ -6,9 +6,17 @@ import math
 import pytest
 
 from contmean.cli import main
-from contmean.estimators import EstimatorConfig
+from contmean.estimators import (
+    EstimatorConfig,
+    full_noise_scale,
+    make_estimator,
+    multi_noise_scale,
+    naive_noise_scale,
+    single_noise_scale,
+)
 from contmean.harness import (
     ExperimentSpec,
+    _per_mechanism_bounds,
     audit_sensitivity,
     audit_value_grid,
     run,
@@ -208,6 +216,18 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("algorithm,ordering", [("naive", "round_robin"), ("wishful", "contiguous")])
+    def test_run_command_at_one_sample_per_user(self, tmp_path, algorithm, ordering):
+        run_spec = {
+            "algorithm": algorithm, "n": 4, "m": 1, "eps": 1.0, "delta": 0.1, "T": 4,
+            "seed": 1, "mu": 0.5, "ordering": ordering, "trials": 2, "checkpoints": [1, 4],
+        }
+        if algorithm == "wishful":
+            run_spec["prior"] = 0.5
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(run_spec))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 0
+
     def test_sweep_command(self, tmp_path):
         sweep_spec = {
             "base": {
@@ -264,3 +284,43 @@ class TestCli:
         rc = main(["generate", "--mu", "0.0", "--n", "2", "--m", "2", "--T", "4"])
         assert rc == 0
         assert (tmp_path / "stream.csv").exists()
+
+
+class TestCalibration:
+    """Noise scales, ledger shares and audit bounds agree for every counter."""
+
+    GRID = [
+        (1, 2, 1.0, 0.1, 1),
+        (3, 4, 0.5, 0.05, 6),
+        (7, 7, 2.0, 1e-6, 100),
+        (50, 64, 1.0, 0.1, 8192),
+        (1000, 1000, 0.1, 1.0, 5),
+    ]
+
+    @staticmethod
+    def public_scales(algorithm, n, m, eps, delta, T):
+        levels = range(math.ceil(math.log2(m)) + 1)
+        if algorithm == "naive":
+            return [naive_noise_scale(m, T, eps)]
+        if algorithm == "single":
+            return [single_noise_scale(m, n, eps, delta)]
+        scale = multi_noise_scale if algorithm == "multi" else full_noise_scale
+        return [scale(m, n, lv, eps, delta) for lv in levels]
+
+    @pytest.mark.parametrize("algorithm", ["naive", "single", "multi", "full"])
+    @pytest.mark.parametrize("n,m,eps,delta,T", GRID)
+    def test_eta_share_bound_and_budget_agree(self, algorithm, n, m, eps, delta, T):
+        config = EstimatorConfig(
+            algorithm=algorithm, n=n, m=m, eps=eps, delta=delta,
+            T=T if algorithm == "naive" else None,
+            prior=0.5 if algorithm in ("single", "multi") else None,
+        )
+        est = make_estimator(config)
+        shares = [e for label, e in est.budget.entries if label.startswith("mech")]
+        bounds = _per_mechanism_bounds(config)
+        assert len(shares) == len(bounds) == len(est.mechanisms)
+        for mech, share, (label, _, l1) in zip(est.mechanisms, shares, bounds):
+            assert mech.label == label
+            assert mech.eta * share == pytest.approx(l1, rel=1e-12)
+        assert est.budget.spent == pytest.approx(est.budget.total_eps, rel=1e-12)
+        assert [mech.eta for mech in est.mechanisms] == self.public_scales(algorithm, n, m, eps, delta, T)
