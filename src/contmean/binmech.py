@@ -4,13 +4,14 @@ The counter ingests a stream of real elements and maintains one noisy
 partial sum per element: when the k-th element arrives, the sum of the most
 recent ``lowbit(k)`` elements plus fresh Laplace noise is recorded.  A
 running-sum query combines the partial sums of the dyadic decomposition of
-k, so each element influences O(log k) stored values and each query touches
-O(log k) of them.
+k, so each element influences O(log k) stored values; a stack of running
+sums over that decomposition makes an append O(1) amortized and a query O(1).
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -19,6 +20,8 @@ import numpy as np
 from contmean.noise import laplace
 
 __all__ = ["BinaryMechanism", "DyadicDecomposition", "audit_influence", "decompose"]
+
+_FIRST_BLOCK, _MAX_BLOCK = 8, 1024  # noise blocks of 8, 16, 32, ... draws, capped
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,7 @@ def audit_influence(mech_len: int, element_index: int) -> int:
     if mech_len < 1:
         raise ValueError(f"mech_len must be positive, got {mech_len}")
     if not 1 <= element_index <= mech_len:
-        raise ValueError(
-            f"element_index {element_index} out of range for length {mech_len}"
-        )
+        raise ValueError(f"element_index {element_index} out of range for length {mech_len}")
     count = 0
     for s in range(mech_len.bit_length() + 1):
         size = 1 << s
@@ -72,8 +73,8 @@ def audit_influence(mech_len: int, element_index: int) -> int:
 
 
 class BinaryMechanism:
-    """One tree-aggregation counter: prefix sums of an append-only stream
-    plus one noisy partial sum per element.
+    """One tree-aggregation counter: one noisy partial sum per element, plus
+    a stack of at most ``bit_length(k) + 1`` prefix and noisy running sums.
 
     ``eta`` is the Laplace scale added to every stored partial sum; the
     caller chooses it from its own bound on how many elements a user can
@@ -81,9 +82,9 @@ class BinaryMechanism:
     mutated, so replaying the same appends with the same generator state
     reproduces the array bit for bit.
 
-    ``rng`` is a generator, or a function that returns one; the function
-    runs at the first Laplace draw, so a counter that never draws (zero
-    scale, or no elements) never builds a generator.
+    ``rng`` is a generator, or a function that returns one and runs at the
+    first Laplace draw.  Noise is drawn from it in blocks ahead of use, so
+    the generator must not be shared.
 
     Not thread-safe: one owner mutates, though ownership may move between
     threads between operations.
@@ -100,11 +101,9 @@ class BinaryMechanism:
         self.eta = float(eta)
         self.label = label
         self._rng = rng
-        # prefix[i] = sum of the first i elements; kept so each append costs
-        # O(1) instead of O(block size).
-        self._prefix: list[float] = [0.0]
-        self._nps: list[float] = []
-        self._cached_sum: float | None = 0.0
+        self._nps = array("d")
+        self._stack = [(0, 0.0, 0.0)]  # (end, prefix, noisy sum) at 0 and each end of decompose(k)
+        self._draws: list[float] = []  # buffered noise, next draw last; empty at zero scale
 
     def __len__(self) -> int:
         return len(self._nps)
@@ -113,36 +112,37 @@ class BinaryMechanism:
     def noisy_partial_sums(self) -> tuple[float, ...]:
         return tuple(self._nps)
 
-    def _noise(self) -> float:
-        if self.eta == 0:
-            return 0.0
+    def _refill(self) -> float:
         if not isinstance(self._rng, np.random.Generator):
             self._rng = self._rng()
-        return laplace(self.eta, self._rng)
+        # buffer the next block, doubling it to the cap: every earlier draw is used
+        size = min(len(self._nps) + _FIRST_BLOCK, _MAX_BLOCK)
+        self._draws = laplace(self.eta, self._rng, size).tolist()[::-1]
+        return self._draws.pop()
 
     def append(self, x: float) -> None:
         """Ingest one element and record its noisy dyadic partial sum."""
-        prefix = self._prefix
-        prefix.append(prefix[-1] + float(x))
-        k = len(self._nps) + 1
-        block = k & -k  # lowest set bit = covered block size
-        block_sum = prefix[k] - prefix[k - block]
-        self._nps.append(block_sum + self._noise())
-        self._cached_sum = None
+        stack = self._stack
+        top = stack[-1]  # (k - 1, its prefix sum, its noisy running sum)
+        prefix = top[1] + float(x)
+        k = top[0] + 1
+        start = k - (k & -k)  # the block covers (start, k]; start is on the stack
+        while top[0] != start:
+            stack.pop()
+            top = stack[-1]
+        value = (prefix - top[1]) + (self._draws.pop() if self._draws else self._refill() if self.eta else 0.0)
+        self._nps.append(value)
+        stack.append((k, prefix, top[2] + value))
 
     def sum(self) -> float:
         """Noisy running sum of everything appended so far (0.0 when empty)."""
-        if self._cached_sum is None:
-            k = len(self._nps)
-            self._cached_sum = sum(self._nps[end - 1] for end in decompose(k).ends())
-        return self._cached_sum
+        return self._stack[-1][2]
 
     def block_of(self, k: int) -> tuple[int, int]:
         """The (start, end) block covered by the k-th partial sum."""
         if not 1 <= k <= len(self._nps):
             raise ValueError(f"index {k} out of range for length {len(self._nps)}")
-        size = k & -k
-        return (k - size + 1, k)
+        return (k - (k & -k) + 1, k)
 
     def dump_rows(self) -> list[tuple[int, int, int, float]]:
         """(index, block_start, block_end, noisy_value) rows for the auditor."""

@@ -3,10 +3,14 @@
 These are deliberately straightforward dict-and-loop reimplementations of
 the release schedule and denominator accounting, kept free of the package's
 mechanism/estimator classes so they can serve as oracles for noiseless
-runs.
+runs.  ``noisy_counter`` takes only the dyadic decomposition and the scalar
+Laplace draw from the package.
 """
 
 import math
+
+from contmean.binmech import decompose
+from contmean.noise import laplace
 
 
 def schedule_releases(users):
@@ -101,3 +105,22 @@ def uniform_random_users(n, m, T, rng):
         remaining[u] -= 1
         seq.append(u)
     return seq
+
+
+def noisy_counter(values, eta, rng):
+    """Yield (k-th partial sum, running sum) after each append to a tree counter.
+
+    Element k stores (prefix[k] - prefix[k - lowbit(k)]) plus one scalar
+    Laplace draw; the running sum adds the stored sums at the ends of
+    decompose(k) one at a time, left to right (never the builtin ``sum``,
+    whose order of additions differs between Python versions).
+    """
+    prefix, nps = [0.0], []
+    for x in values:
+        prefix.append(prefix[-1] + float(x))
+        k = len(prefix) - 1
+        nps.append((prefix[k] - prefix[k - (k & -k)]) + laplace(eta, rng))
+        acc = 0.0
+        for end in decompose(k).ends():
+            acc += nps[end - 1]
+        yield nps[-1], acc

@@ -44,6 +44,28 @@ class TestLaplace:
         assert not np.array_equal(a, b)
 
 
+class TestBlockDraws:
+    """Counters draw noise in blocks ahead of use; a block must equal the
+    same number of scalar draws from a twin generator, bit for bit."""
+
+    SCALES = [1e-3, 1.0, 4.59, 84.73, 1e6]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("size", [1, 8, 1024])
+    def test_block_equals_scalar_draws(self, scale, size):
+        block = laplace(scale, spawn_rng(19, 1, size), size=size).tolist()
+        twin = spawn_rng(19, 1, size)
+        assert block == [laplace(scale, twin) for _ in range(size)]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_chained_refills_equal_scalar_draws(self, scale):
+        rng, twin = spawn_rng(23, 1, 3), spawn_rng(23, 1, 3)
+        drawn = []
+        for size in (8, 16, 32, 64, 128, 256, 512, 1024):
+            drawn += laplace(scale, rng, size=size).tolist()
+        assert drawn == [laplace(scale, twin) for _ in range(len(drawn))]
+
+
 class TestExpMechanism:
     def test_singleton_always_selected(self):
         rng = spawn_rng(0, 0)
