@@ -12,7 +12,6 @@ pay for a private-median prior.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -243,9 +242,15 @@ class EstimatorConfig:
             raise ValueError("noise_override must be nonnegative")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One published step: estimate, denominator, and status flags."""
+    """One published step: estimate, denominator, and status flags.
+
+    ``step`` builds one per event, and a frozen dataclass costs several
+    times as much to build, so this one is not frozen.  The record ``step``
+    returns is the one it keeps in ``records``: treat it as read-only and
+    use ``dataclasses.replace`` for a changed copy.
+    """
 
     t: int
     user: int
@@ -262,13 +267,26 @@ class TraceRecord:
         return ";".join(tokens)
 
 
+def _trace_lines(records):
+    # one flags field per distinct (flags, active levels) pair
+    tails: dict = {}
+    for r in records:
+        key = (r.flags, r.active_levels)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = r.flags_str()
+        yield f"{r.t},{r.user},{r.estimate!r},{r.total},{r.max_count},{tail}\r\n"
+
+
 def write_trace(records, path) -> None:
-    """Write trace records as CSV rows ``t,user,estimate,total,M_t,flags``."""
+    """Write trace records as CSV rows ``t,user,estimate,total,M_t,flags``.
+
+    Rows are written as ``csv.writer`` writes them, CRLF included: no field
+    needs quoting, since flags come from a fixed comma-free vocabulary.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for r in records:
-            writer.writerow([r.t, r.user, repr(r.estimate), r.total, r.max_count, r.flags_str()])
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        fh.writelines(_trace_lines(records))
 
 
 @dataclass(frozen=True)
@@ -478,13 +496,7 @@ class _EstimatorBase:
                 flags.append("div")
 
         record = TraceRecord(
-            t=self.t,
-            user=user,
-            estimate=estimate,
-            total=self.total,
-            max_count=supply.max_count,
-            active_levels=self._active,
-            flags=tuple(flags),
+            self.t, user, estimate, self.total, supply.max_count, self._active, tuple(flags)
         )
         if cfg.keep_trace:
             self.records.append(record)

@@ -10,7 +10,9 @@ shortest round-trip decimals.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from contmean.noise import spawn_rng
 
@@ -37,8 +39,9 @@ class StreamParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class StreamEvent:
+class StreamEvent(NamedTuple):
+    """One arrival: a 1-based time, a 1-based user id and a value."""
+
     t: int
     user: int
     value: float
@@ -71,28 +74,49 @@ def _user_sequence(ordering: OrderingSpec, n: int, m: int, T: int, rng) -> list[
     if ordering.kind == "round_robin":
         return [1 + i % n for i in range(T)]
     if ordering.kind == "uniform_random":
-        # Users that can still contribute, ascending.  A user is deleted in
-        # place once it holds m samples, once per user, so each draw indexes
-        # the same list that rebuilding it per event would give.
+        # Users that can still contribute, ascending; a user is deleted in
+        # place once it holds m samples.  While the most any open user holds
+        # is ``top``, no user can fill within the next m - top draws, so the
+        # list, and the bound each draw uses, stays fixed that long: those
+        # draws come from one call, which consumes the generator exactly as
+        # that many scalar draws do.  At most the block's last draw fills a
+        # user.
         open_users = list(range(1, n + 1))
-        remaining = [m] * (n + 1)
-        seq = []
-        for _ in range(T):
-            i = int(rng.integers(len(open_users)))
-            u = open_users[i]
-            remaining[u] -= 1
-            if remaining[u] == 0:
-                del open_users[i]
-            seq.append(u)
+        counts = [0] * (n + 1)
+        hist = [0] * (m + 1)  # open users per count; hist[m] marks a fill
+        hist[0] = n
+        top = 0
+        seq: list[int] = []
+        left = T
+        while left:
+            size = min(m - top, left)
+            left -= size
+            if size == 1:
+                draws = (int(rng.integers(len(open_users))),)
+            else:
+                draws = rng.integers(len(open_users), size=size).tolist()
+            for i in draws:
+                u = open_users[i]
+                c = counts[u]
+                hist[c] -= 1
+                c += 1
+                counts[u] = c
+                hist[c] += 1
+                seq.append(u)
+            top = min(top + size, m)
+            if hist[m]:
+                del open_users[draws[-1]]
+                hist[m] = 0
+            while top and not hist[top]:
+                top -= 1
         return seq
     if ordering.kind == "single_user_prefix":
         prefix = min(ordering.prefix_len or m, m, T)
-        seq = [1] * prefix
-        others = [u for u in range(2, n + 1) for _ in range(m)]
-        seq.extend(others[: T - prefix])
-        if len(seq) < T:
+        rest = T - prefix
+        if rest > (n - 1) * m:
             raise ValueError("single_user_prefix ordering cannot reach the requested length")
-        return seq
+        # user 1's prefix, then users 2, 3, ... with m samples each
+        return [1] * prefix + [2 + i // m for i in range(rest)]
     if ordering.kind == "from_file":
         events = read_stream(ordering.path)
         if len(events) < T:
@@ -111,13 +135,15 @@ def generate(
         raise ValueError(f"infeasible ordering: T={T} exceeds n*m={n * m}")
     rng = spawn_rng(seed, 0)
     users = _user_sequence(ordering, n, m, T, rng)
-    counts: dict[int, int] = {}
-    for u in users:
-        counts[u] = counts.get(u, 0) + 1
-        if counts[u] > m:
-            raise ValueError(f"ordering gives user {u} more than m={m} samples")
-    values = (rng.random(T) < mu).astype(float)
-    return [StreamEvent(t=i + 1, user=users[i], value=float(values[i])) for i in range(T)]
+    if users and max(Counter(users).values()) > m:
+        # name the first user, in stream order, to pass the cap
+        counts: dict[int, int] = {}
+        for u in users:
+            counts[u] = counts.get(u, 0) + 1
+            if counts[u] > m:
+                raise ValueError(f"ordering gives user {u} more than m={m} samples")
+    values = (rng.random(T) < mu).astype(float).tolist()
+    return list(map(StreamEvent, range(1, T + 1), users, values))
 
 
 def write_stream(events: list[StreamEvent], path) -> None:

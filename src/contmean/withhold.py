@@ -11,13 +11,12 @@ been released, whatever the user ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["ReleaseDecision", "UserLedger"]
 
 
-@dataclass(frozen=True)
-class ReleaseDecision:
+class ReleaseDecision(NamedTuple):
     """Outcome of one arriving sample: withhold, or release a dyadic block.
 
     On a release at level ``level`` the block covers ``block_size`` =
@@ -59,12 +58,7 @@ class UserLedger:
         held = self.pending.pop(user_id, [])
         self._pending_total -= len(held)
         block = held + [value] if level >= 1 else [value]
-        return ReleaseDecision(
-            released=True,
-            level=level,
-            block_sum=math.fsum(block),
-            block_size=1 << max(level - 1, 0),
-        )
+        return ReleaseDecision(True, level, math.fsum(block), 1 << max(level - 1, 0))
 
     def released_info_count(self) -> int:
         """Number of samples whose information has been released so far."""

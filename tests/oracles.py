@@ -4,9 +4,12 @@ These are deliberately straightforward dict-and-loop reimplementations of
 the release schedule and denominator accounting, kept free of the package's
 mechanism/estimator classes so they can serve as oracles for noiseless
 runs.  ``noisy_counter`` takes only the dyadic decomposition and the scalar
-Laplace draw from the package.
+Laplace draw from the package.  ``reference_trace_csv`` writes trace records
+through ``csv.writer``.
 """
 
+import csv
+import io
 import math
 
 from contmean.binmech import decompose
@@ -107,6 +110,18 @@ def uniform_random_users(n, m, T, rng):
     return seq
 
 
+def single_user_prefix_users(n, m, T, prefix_len=None):
+    """User sequence of the ``single_user_prefix`` ordering, built from every
+    other user's m slots (O(n m) whatever T is)."""
+    prefix = min(prefix_len or m, m, T)
+    seq = [1] * prefix
+    others = [u for u in range(2, n + 1) for _ in range(m)]
+    seq.extend(others[: T - prefix])
+    if len(seq) < T:
+        raise ValueError("single_user_prefix ordering cannot reach the requested length")
+    return seq
+
+
 def noisy_counter(values, eta, rng):
     """Yield (k-th partial sum, running sum) after each append to a tree counter.
 
@@ -124,3 +139,13 @@ def noisy_counter(values, eta, rng):
         for end in decompose(k).ends():
             acc += nps[end - 1]
         yield nps[-1], acc
+
+
+def reference_trace_csv(records):
+    """Bytes of a trace CSV written row by row through ``csv.writer``."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["t", "user", "estimate", "total", "M_t", "flags"])
+    for r in records:
+        writer.writerow([r.t, r.user, repr(r.estimate), r.total, r.max_count, r.flags_str()])
+    return fh.getvalue().encode()

@@ -1,5 +1,6 @@
 """The five estimators: schedules, denominators, noise scales, budgets."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from contmean.estimators import (
     ALGORITHMS,
     EstimatorConfig,
     OrderingError,
+    TraceRecord,
     check_diversity,
     full_noise_scale,
     make_estimator,
@@ -23,7 +25,8 @@ from contmean.estimators import (
 from contmean.median import MedianRequest, private_median
 from contmean.noise import spawn_rng
 from contmean.streams import OrderingSpec, StreamEvent, generate
-from oracles import activation_threshold, noiseless_estimates
+from oracles import activation_threshold, noiseless_estimates, reference_trace_csv
+from test_golden import SETTINGS as GOLDEN_SETTINGS
 
 LN = math.log
 LOG2 = math.log2
@@ -575,3 +578,57 @@ class TestTrace:
         est.run(events_of([1, 1], [0.0, 0.0]))
         with pytest.raises(ValueError, match="cap"):
             est.step(StreamEvent(t=3, user=1, value=0.0))
+
+
+def golden_records(algorithm, setting, seed=3):
+    """Trace records of one run at a setting of the golden test."""
+    p = GOLDEN_SETTINGS[setting]
+    ordering = "contiguous" if algorithm == "wishful" else "uniform_random"
+    events = generate(p["mu"], p["n"], p["m"], p["T"], OrderingSpec(ordering), seed=seed + 100)
+    est = make_estimator(
+        any_config(algorithm, n=p["n"], m=p["m"], T=p["T"], eps=p["eps"], delta=p["delta"], seed=seed,
+                   **({"prior": 0.1} if algorithm in ("wishful", "single", "multi") else {}))
+    )
+    est.run(events)
+    return est.records
+
+
+class TestTraceBytes:
+    def test_write_trace_equals_csv_writer(self, tmp_path):
+        traces = [golden_records(a, s) for a, s in
+                  (("wishful", "odd"), ("single", "odd"), ("multi", "odd"), ("full", "odd"), ("full", "dense"))]
+        # no estimator publishes ``nodata`` on these streams; build records
+        # that carry it, every flag at once, and edge-case floats
+        last = traces[-1][-1]
+        traces.append([
+            dataclasses.replace(last, estimate=0.5, flags=("nodata",), active_levels=None),
+            dataclasses.replace(last, estimate=-0.0, flags=("nodata", "clip", "oob", "div")),
+            dataclasses.replace(last, estimate=5e-324, flags=(), active_levels=()),
+            dataclasses.replace(last, estimate=-1e300, flags=("clip",), active_levels=(0,)),
+        ])
+        tokens = {tok for trace in traces for r in trace for tok in r.flags_str().split(";")}
+        assert {"nodata", "clip", "oob", "div", ""} <= tokens
+        assert any(tok.startswith("act=0-1-") for tok in tokens)
+        for i, trace in enumerate(traces + [[r for trace in traces for r in trace], []]):
+            path = tmp_path / f"trace_{i}.csv"
+            write_trace(trace, path)
+            assert path.read_bytes() == reference_trace_csv(trace)
+
+
+class TestTraceRecord:
+    def test_dataclass_fields_and_replace(self):
+        assert [f.name for f in dataclasses.fields(TraceRecord)] == [
+            "t", "user", "estimate", "total", "max_count", "active_levels", "flags"
+        ]
+        rec = TraceRecord(1, 2, 0.5, 1, 1, None, ("clip",))
+        changed = dataclasses.replace(rec, estimate=0.25)
+        assert changed == TraceRecord(1, 2, 0.25, 1, 1, None, ("clip",))
+        assert rec.estimate == 0.5
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_step_returns_the_record_it_keeps(self, algorithm):
+        est = make_estimator(any_config(algorithm, n=3, m=4, T=12, eps=1.0, delta=0.1))
+        events = generate(0.5, 3, 4, 12, OrderingSpec("contiguous"), seed=1)
+        returned = [est.step(ev) for ev in events]
+        assert len(est.records) == len(returned)
+        assert all(a is b for a, b in zip(returned, est.records))

@@ -1,8 +1,11 @@
 """Stream generation orderings and CSV round trips."""
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contmean.noise import spawn_rng
 from contmean.streams import (
@@ -13,7 +16,7 @@ from contmean.streams import (
     read_stream,
     write_stream,
 )
-from oracles import uniform_random_users
+from oracles import single_user_prefix_users, uniform_random_users
 
 
 def user_counts(events):
@@ -66,6 +69,55 @@ class TestGenerate:
         expected = [StreamEvent(t=i + 1, user=u, value=float(v)) for i, (u, v) in enumerate(zip(users, values))]
         assert generate(mu, n, m, T, OrderingSpec("uniform_random"), seed) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 70),
+        share=st.just(1.0) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, m=1, share=1.0, seed=0)
+    @example(n=40, m=1, share=1.0, seed=1)
+    @example(n=1, m=70, share=1.0, seed=2)
+    @example(n=40, m=70, share=1.0, seed=3)
+    def test_uniform_random_block_draws_equal_oracle(self, n, m, share, seed):
+        # T = n*m fills every user, and blocks shrink to one draw at the end
+        T = max(1, round(share * n * m))
+        rng = spawn_rng(seed, 0)  # the generator ``generate`` draws from
+        users = uniform_random_users(n, m, T, rng)
+        # values come after the users from the same generator, so equal values
+        # mean the block draws left the generator where the scalar draws do
+        values = (rng.random(T) < 0.5).astype(float).tolist()
+        events = generate(0.5, n, m, T, OrderingSpec("uniform_random"), seed)
+        assert [ev.user for ev in events] == users
+        assert [ev.value for ev in events] == values
+
+    @pytest.mark.parametrize(
+        "n,m,T,prefix_len",
+        [(1, 1, 1, None), (1, 5, 3, None), (4, 6, 20, None), (4, 6, 24, None), (4, 6, 10, 3),
+         (5, 3, 15, 1), (5, 3, 14, 2), (5, 3, 13, 1), (3, 4, 12, 2), (2, 7, 14, 6), (3, 5, 4, 0)],
+    )
+    def test_single_user_prefix_equals_full_slot_list(self, n, m, T, prefix_len):
+        spec = OrderingSpec("single_user_prefix", prefix_len=prefix_len)
+        try:
+            expected = single_user_prefix_users(n, m, T, prefix_len)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                generate(0.5, n, m, T, spec, seed=0)
+        else:
+            assert [ev.user for ev in generate(0.5, n, m, T, spec, seed=0)] == expected
+
+    def test_single_user_prefix_builds_only_the_returned_users(self):
+        # every other user's m slots would be 1.28M list entries (10 MB)
+        tracemalloc.start()
+        try:
+            events = generate(0.5, 20_000, 64, 100, OrderingSpec("single_user_prefix"), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [ev.user for ev in events] == [1] * 64 + [2] * 36
+        assert peak < 200_000
+
     def test_single_user_prefix(self):
         events = generate(0.5, 4, 6, 20, OrderingSpec("single_user_prefix"), seed=0)
         users = [ev.user for ev in events]
@@ -96,6 +148,20 @@ class TestGenerate:
     def test_unknown_ordering_kind_rejected(self):
         with pytest.raises(ValueError):
             OrderingSpec("zigzag")
+
+
+class TestStreamEvent:
+    def test_positional_and_keyword_construction_agree(self):
+        a = StreamEvent(1, 2, 0.5)
+        b = StreamEvent(t=1, user=2, value=0.5)
+        assert a == b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert (a.t, a.user, a.value) == (1, 2, 0.5)
+        assert StreamEvent._fields == ("t", "user", "value")
+
+    def test_generated_fields_are_python_scalars(self):
+        ev = generate(0.5, 3, 4, 12, OrderingSpec("uniform_random"), seed=2)[-1]
+        assert (type(ev.t), type(ev.user), type(ev.value)) == (int, int, float)
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contmean.withhold import UserLedger
+from contmean.withhold import _WITHHOLD, ReleaseDecision, UserLedger
 
 
 def drive(users, values=None):
@@ -124,3 +124,18 @@ class TestBlockPartition:
             assert len(ledger.pending.get(u, [])) == cnt - len(flat)
         pending = sum(len(v) for v in ledger.pending.values())
         assert ledger.released_info_count() + pending == ledger.samples_seen()
+
+
+class TestReleaseDecision:
+    def test_fields_and_construction(self):
+        assert ReleaseDecision._fields == ("released", "level", "block_sum", "block_size")
+        assert ReleaseDecision(False) == ReleaseDecision(released=False, level=None, block_sum=None, block_size=None)
+        assert ReleaseDecision(True, 2, 0.75, 2) == ReleaseDecision(released=True, level=2, block_sum=0.75, block_size=2)
+
+    def test_ledger_decisions(self):
+        ledger = UserLedger()
+        assert ledger.on_sample(1, 1.0) == ReleaseDecision(True, 0, 1.0, 1)
+        assert ledger.on_sample(1, 0.0) == ReleaseDecision(True, 1, 0.0, 1)
+        withheld = ledger.on_sample(1, 0.5)
+        assert withheld is _WITHHOLD and not withheld.released
+        assert ledger.on_sample(1, 0.25) == ReleaseDecision(True, 2, 0.75, 2)
