@@ -21,7 +21,13 @@ from contmean.binmech import BinaryMechanism
 from contmean.median import MedianRequest, prior_array_count, private_median
 from contmean.noise import BudgetLedger, spawn_rng
 from contmean.streams import StreamEvent
-from contmean.truncate import TruncationInterval, interval_full, interval_single, project
+from contmean.truncate import (
+    TruncationInterval,
+    full_prior_split,
+    interval_full,
+    interval_single,
+    project,
+)
 from contmean.withhold import UserLedger
 
 __all__ = [
@@ -131,8 +137,8 @@ def _full_row(m: int, n: int, level: int, eps: float, delta: float) -> PrivacyRo
 
 
 def _full_prior_row(m: int, level: int, eps: float, delta: float) -> PrivacyRow:
-    big_l = math.ceil(math.log2(m))
-    return PrivacyRow(f"prior[{level}]", eps, 2 * big_l, beta=delta / (3 * big_l))
+    split, beta = full_prior_split(m, delta)
+    return PrivacyRow(f"prior[{level}]", eps, split, beta=beta)
 
 
 # An audit builds thousands of estimators from one config, so each table is
@@ -448,11 +454,6 @@ class _EstimatorBase:
     def _noisy_sum(self) -> float:
         return self.mechanisms[0].sum()
 
-    def _estimate_without_data(self, flags: list[str]) -> float:
-        """The estimate published while ``total`` is 0."""
-        flags.append("nodata")
-        return 0.5
-
     def active_levels(self) -> tuple[int, ...] | None:
         return self._active
 
@@ -479,12 +480,15 @@ class _EstimatorBase:
 
         flags = self._process(event)
 
-        if self.total == 0:
-            estimate = self._estimate_without_data(flags)
-        else:
+        if self.total:
             estimate = self._noisy_sum() / self.total
             if not 0.0 <= estimate <= 1.0:
                 flags.append("oob")
+        else:
+            # only wishful gets here: it holds its first user's batch back
+            # until all m samples arrive, while the others release every
+            # user's first sample at once
+            estimate = cfg.prior
         half = self._half_supply
         if half is not None:
             if max_rose:
@@ -561,10 +565,6 @@ class WishfulEstimator(NaiveEstimator):
         self.total += m
         self._block = []
         return ["clip"] if sigma != raw else []
-
-    def _estimate_without_data(self, flags: list[str]) -> float:
-        # contiguous arrival makes total 0 exactly while t < m
-        return self.config.prior
 
 
 class WithholdReleaseEstimator(_EstimatorBase):

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ SUMMARY_HEADER = ["t", "median_abs_error", "q10_abs_error", "q90_abs_error"]
 
 _AUDITABLE = ("naive", "single", "multi", "full")
 _GRID_LIMIT = 12  # 2^12 estimator replays is the most an audit will attempt
+_BLOCK_ENTRIES = 1 << 16  # per counter, the most pair differences held at once
 
 
 # --------------------------------------------------------------------------
@@ -237,11 +239,35 @@ def _audit_config(config: EstimatorConfig) -> EstimatorConfig:
     return dataclasses.replace(config, **updates)
 
 
-def _collect_nps(config: EstimatorConfig, events: Sequence[StreamEvent]) -> list[np.ndarray]:
-    est = make_estimator(config)
-    for ev in events:
-        est.step(ev)
-    return [np.asarray(mech.noisy_partial_sums) for mech in est.mechanisms]
+def _check_layout(widths: list[int], other: list[int], count: int) -> None:
+    """Neighbor runs must store ``count`` counters with the same entry counts."""
+    if len(widths) != count or len(other) != count:
+        raise AssertionError("mechanism count changed between neighbor runs")
+    if other != widths:
+        raise AssertionError("partial-sum layout changed between neighbor runs")
+
+
+def _collect_nps(
+    config: EstimatorConfig, streams: Iterable[Sequence[StreamEvent]]
+) -> list[np.ndarray]:
+    """Replay each stream noiselessly through ``step``; per counter, one
+    (streams, entries) float64 array of its stored partial sums."""
+    flat: list[array] = []
+    widths: list[int] = []
+    rows = 0
+    for events in streams:
+        est = make_estimator(config)
+        for ev in events:
+            est.step(ev)
+        sums = [mech.noisy_partial_sums for mech in est.mechanisms]
+        if not rows:
+            widths = [len(s) for s in sums]
+            flat = [array("d") for _ in sums]
+        _check_layout(widths, [len(s) for s in sums], len(widths))
+        for acc, s in zip(flat, sums):
+            acc.extend(s)
+        rows += 1
+    return [np.frombuffer(acc, dtype=np.float64).reshape(rows, w) for acc, w in zip(flat, widths)]
 
 
 def _per_mechanism_bounds(config: EstimatorConfig) -> list[tuple[str, float, float]]:
@@ -252,46 +278,58 @@ def _per_mechanism_bounds(config: EstimatorConfig) -> list[tuple[str, float, flo
 
 def _value_grid_runs(
     config: EstimatorConfig, events: list[StreamEvent], positions: list[int]
-) -> list[list[np.ndarray]]:
-    """Partial-sum arrays for every {0,1} assignment of the given positions."""
+) -> list[np.ndarray]:
+    """Per counter, the partial sums of every {0,1} assignment of the given
+    positions, one row per assignment mask."""
     if len(positions) > _GRID_LIMIT:
         raise ValueError(
             f"value grid over {len(positions)} samples is too large to enumerate"
         )
-    runs = []
-    for mask in range(1 << len(positions)):
-        variant = list(events)
-        for bit, pos in enumerate(positions):
-            ev = variant[pos]
-            variant[pos] = StreamEvent(t=ev.t, user=ev.user, value=float((mask >> bit) & 1))
-        runs.append(_collect_nps(config, variant))
-    return runs
+
+    def variants():
+        for mask in range(1 << len(positions)):
+            variant = list(events)
+            for bit, pos in enumerate(positions):
+                ev = variant[pos]
+                variant[pos] = StreamEvent(t=ev.t, user=ev.user, value=float((mask >> bit) & 1))
+            yield variant
+
+    return _collect_nps(config, variants())
 
 
 def _diff_report(
     config: EstimatorConfig,
     changed_user: int,
-    pairs: list[tuple[list[np.ndarray], list[np.ndarray]]],
+    left: list[np.ndarray],
+    right: list[np.ndarray],
+    pairs: tuple[np.ndarray, np.ndarray],
 ) -> AuditReport:
+    """Worst disturbance over the pairs (left row ``pairs[0][p]``, right row
+    ``pairs[1][p]``): per counter the most entries moved by more than 1e-9
+    and the largest l1 shift, plus the largest shift summed over counters."""
     bounds = _per_mechanism_bounds(config)
     n_mech = len(bounds)
+    widths = [a.shape[1] for a in left]
+    _check_layout(widths, [b.shape[1] for b in right], n_mech)
     worst_count = [0] * n_mech
     worst_l1 = [0.0] * n_mech
     worst_total_l1 = 0.0
-    for left, right in pairs:
-        if len(left) != n_mech or len(right) != n_mech:
-            raise AssertionError("mechanism count changed between neighbor runs")
+    li, ri = pairs
+    # pairs go through in blocks, so the differences held at once stay
+    # bounded however many pairs a grid has
+    block = max(1, _BLOCK_ENTRIES // max([1, *widths]))
+    for start in range(0, len(li), block):
+        lb, rb = li[start : start + block], ri[start : start + block]
         total = 0.0
         for i, (a, b) in enumerate(zip(left, right)):
-            if a.shape != b.shape:
-                raise AssertionError("partial-sum layout changed between neighbor runs")
-            diff = np.abs(a - b)
-            changed = int((diff > 1e-9).sum())
-            l1 = float(diff.sum())
-            worst_count[i] = max(worst_count[i], changed)
-            worst_l1[i] = max(worst_l1[i], l1)
-            total += l1
-        worst_total_l1 = max(worst_total_l1, total)
+            diff = a[lb]
+            diff -= b[rb]
+            np.abs(diff, out=diff)
+            worst_count[i] = max(worst_count[i], int((diff > 1e-9).sum(axis=1).max()))
+            l1 = diff.sum(axis=1)
+            worst_l1[i] = max(worst_l1[i], float(l1.max()))
+            total = total + l1
+        worst_total_l1 = max(worst_total_l1, float(np.max(total)))
 
     mech_reports = tuple(
         AuditMechanismReport(
@@ -329,9 +367,11 @@ def audit_sensitivity(
         raise ValueError(f"changed_user {changed_user} outside [1, {config.n}]")
     events = list(base_stream)
     positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
-    base = _collect_nps(config, events)
+    base = _collect_nps(config, [events])
     variants = _value_grid_runs(config, events, positions)
-    return _diff_report(config, changed_user, [(base, v) for v in variants])
+    count = variants[0].shape[0]
+    pairs = (np.zeros(count, dtype=np.intp), np.arange(count))
+    return _diff_report(config, changed_user, base, variants, pairs)
 
 
 def audit_value_grid(
@@ -347,11 +387,7 @@ def audit_value_grid(
     events = [StreamEvent(t=i + 1, user=u, value=0.0) for i, u in enumerate(users)]
     positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
     variants = _value_grid_runs(config, events, positions)
-    pairs = [
-        (variants[i], variants[j])
-        for i in range(len(variants))
-        for j in range(i + 1, len(variants))
-    ]
-    if not pairs:
-        pairs = [(variants[0], variants[0])]
-    return _diff_report(config, changed_user, pairs)
+    # every i < j, in row-major order; a user without samples has one
+    # variant and no pair, which reports no change
+    pairs = np.triu_indices(variants[0].shape[0], 1)
+    return _diff_report(config, changed_user, variants, variants, pairs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from contmean.median import prior_array_count
 
-__all__ = ["TruncationInterval", "interval_full", "interval_single", "project"]
+__all__ = ["TruncationInterval", "full_prior_split", "interval_full", "interval_single", "project"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,14 @@ def interval_single(prior: float, level: int, m: int, n: int, delta: float) -> T
     return TruncationInterval(center=size * prior, half_width=width, level=level)
 
 
+def full_prior_split(m: int, delta: float) -> tuple[int, float]:
+    """(split, beta) of ``full``'s median prior at each level: it spends
+    eps / split with split = 2L, L = ceil(log2 m), and fails with
+    probability at most beta = delta / (3L)."""
+    big_l = math.ceil(math.log2(m))
+    return 2 * big_l, delta / (3 * big_l)
+
+
 def interval_full(
     prior_ell: float, level: int, n: int, m: int, eps: float, delta: float
 ) -> TruncationInterval:
@@ -70,18 +78,19 @@ def interval_full(
     Half-width: sqrt((2^(level-1)/2) * ln(2 n log2(m) / (delta/3)))
                 + sqrt(2^level * ln(2 k / (delta/3L)))
     with L = ceil(log2 m) and k the array count the level-``level`` median
-    prior was computed from, at budget eps/2L and failure delta/3L.
+    prior was computed from, at the budget eps/2L and failure delta/3L of
+    ``full_prior_split``.
     """
     _check_params(m, n, delta)
     if level < 2:
         raise ValueError(f"full-estimator truncation starts at level 2, got {level}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    big_l = math.ceil(math.log2(m))
+    split, beta = full_prior_split(m, delta)
     size = 2.0 ** (level - 1)
-    k = prior_array_count(eps / (2.0 * big_l), level, delta / (3.0 * big_l))
+    k = prior_array_count(eps / split, level, beta)
     width = math.sqrt((size / 2.0) * math.log(2.0 * n * math.log2(m) / (delta / 3.0)))
-    width += math.sqrt(2.0**level * math.log(2.0 * k / (delta / (3.0 * big_l))))
+    width += math.sqrt(2.0**level * math.log(2.0 * k / beta))
     return TruncationInterval(center=size * prior_ell, half_width=width, level=level)
 
 

@@ -5,15 +5,22 @@ the release schedule and denominator accounting, kept free of the package's
 mechanism/estimator classes so they can serve as oracles for noiseless
 runs.  ``noisy_counter`` takes only the dyadic decomposition and the scalar
 Laplace draw from the package.  ``reference_trace_csv`` writes trace records
-through ``csv.writer``.
+through ``csv.writer``.  The ``reference_audit_*`` functions replay an audit
+through ``make_estimator`` as the auditor does, but compare its neighbor
+runs one numpy pair at a time, in ``reference_diff_report``.
 """
 
 import csv
 import io
 import math
 
+import numpy as np
+
 from contmean.binmech import decompose
+from contmean.estimators import make_estimator
+from contmean.harness import AuditMechanismReport, AuditReport, _audit_config, _per_mechanism_bounds
 from contmean.noise import laplace
+from contmean.streams import StreamEvent
 
 
 def schedule_releases(users):
@@ -149,3 +156,90 @@ def reference_trace_csv(records):
     for r in records:
         writer.writerow([r.t, r.user, repr(r.estimate), r.total, r.max_count, r.flags_str()])
     return fh.getvalue().encode()
+
+
+def _grid_runs(config, events, positions):
+    """Per {0,1} assignment of ``positions``, in mask order, the list of
+    each counter's partial sums after a noiseless replay."""
+    runs = []
+    for mask in range(1 << len(positions)):
+        variant = list(events)
+        for bit, pos in enumerate(positions):
+            ev = variant[pos]
+            variant[pos] = StreamEvent(t=ev.t, user=ev.user, value=float((mask >> bit) & 1))
+        est = make_estimator(config)
+        for ev in variant:
+            est.step(ev)
+        runs.append([np.asarray(mech.noisy_partial_sums) for mech in est.mechanisms])
+    return runs
+
+
+def reference_audit_sensitivity(config, base_stream, changed_user):
+    """``audit_sensitivity``: the stream against each {0,1} variant."""
+    config = _audit_config(config)
+    events = list(base_stream)
+    positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
+    base = _grid_runs(config, events, [])[0]
+    pairs = [(base, v) for v in _grid_runs(config, events, positions)]
+    return reference_diff_report(config, changed_user, pairs)
+
+
+def reference_audit_value_grid(config, users, changed_user):
+    """``audit_value_grid``: every variant pair i < j, or the one variant
+    against itself."""
+    config = _audit_config(config)
+    events = [StreamEvent(t=i + 1, user=u, value=0.0) for i, u in enumerate(users)]
+    positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
+    variants = _grid_runs(config, events, positions)
+    pairs = [
+        (variants[i], variants[j])
+        for i in range(len(variants))
+        for j in range(i + 1, len(variants))
+    ]
+    if not pairs:
+        pairs = [(variants[0], variants[0])]
+    return reference_diff_report(config, changed_user, pairs)
+
+
+def reference_diff_report(config, changed_user, pairs):
+    """Worst partial-sum disturbance over (left runs, right runs) pairs."""
+    bounds = _per_mechanism_bounds(config)
+    n_mech = len(bounds)
+    worst_count = [0] * n_mech
+    worst_l1 = [0.0] * n_mech
+    worst_total_l1 = 0.0
+    for left, right in pairs:
+        if len(left) != n_mech or len(right) != n_mech:
+            raise AssertionError("mechanism count changed between neighbor runs")
+        total = 0.0
+        for i, (a, b) in enumerate(zip(left, right)):
+            if a.shape != b.shape:
+                raise AssertionError("partial-sum layout changed between neighbor runs")
+            diff = np.abs(a - b)
+            changed = int((diff > 1e-9).sum())
+            l1 = float(diff.sum())
+            worst_count[i] = max(worst_count[i], changed)
+            worst_l1[i] = max(worst_l1[i], l1)
+            total += l1
+        worst_total_l1 = max(worst_total_l1, total)
+
+    mech_reports = tuple(
+        AuditMechanismReport(
+            label=label,
+            changed_entries=worst_count[i],
+            entry_count_bound=cbound,
+            l1_shift=worst_l1[i],
+            l1_bound=lbound,
+        )
+        for i, (label, cbound, lbound) in enumerate(bounds)
+    )
+    total_bound = sum(b.l1_bound for b in mech_reports)
+    return AuditReport(
+        algorithm=config.algorithm,
+        changed_user=changed_user,
+        mechanisms=mech_reports,
+        changed_partial_sum_count=sum(r.changed_entries for r in mech_reports),
+        max_l1_shift=worst_total_l1,
+        theoretical_bound=total_bound,
+        passed=all(r.passed for r in mech_reports) and worst_total_l1 <= total_bound,
+    )

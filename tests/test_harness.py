@@ -2,8 +2,11 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contmean.cli import main
 from contmean.estimators import (
@@ -23,6 +26,7 @@ from contmean.harness import (
     sweep,
 )
 from contmean.streams import OrderingSpec, StreamEvent, generate, write_stream
+from oracles import reference_audit_sensitivity, reference_audit_value_grid
 
 
 def spec_for(algorithm="naive", *, n=4, m=8, eps=1.0, trials=2, checkpoints=(4, 16), **kw):
@@ -181,6 +185,85 @@ class TestAudit:
         config = EstimatorConfig(algorithm="naive", n=2, m=2, eps=1, delta=0.1, T=2)
         with pytest.raises(ValueError):
             audit_sensitivity(config, flip_stream([1, 2], [0.0, 0.0]), changed_user=5)
+
+
+@st.composite
+def audit_cases(draw):
+    """(config, events, changed user): n <= 4, m <= 8, at most 14 events."""
+    algorithm = draw(st.sampled_from(["naive", "single", "multi", "full"]))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 8))
+    users, counts = [], {}
+    length = draw(st.integers(0, 14))
+    for u in draw(st.lists(st.integers(1, n), min_size=length, max_size=length)):
+        if counts.get(u, 0) < m:
+            counts[u] = counts.get(u, 0) + 1
+            users.append(u)
+    # tenths leave rounding residues in block sums, so a changed order of
+    # additions shows in the shifts
+    value = st.sampled_from([0.0, 1.0]) | st.integers(0, 10).map(lambda k: k / 10) | st.floats(0.0, 1.0)
+    values = draw(st.lists(value, min_size=len(users), max_size=len(users)))
+    config = EstimatorConfig(
+        algorithm=algorithm, n=n, m=m, eps=draw(st.sampled_from([0.5, 1.0, 4.0])), delta=0.1,
+        T=max(len(users), 1) if algorithm == "naive" else None,
+        prior=0.5 if algorithm in ("single", "multi") else None,
+        prior_override=draw(st.none() | st.floats(0.0, 1.0)) if algorithm == "full" else None,
+    )
+    return config, flip_stream(users, values), draw(st.integers(1, n))
+
+
+def _case(algorithm, users, changed_user, values=None, n=3, m=4):
+    values = values or [(i % 3) / 2 for i in range(len(users))]
+    config = EstimatorConfig(
+        algorithm=algorithm, n=n, m=m, eps=1.0, delta=0.1,
+        T=len(users) if algorithm == "naive" else None,
+        prior=0.5 if algorithm in ("single", "multi") else None,
+    )
+    return config, flip_stream(users, values), changed_user
+
+
+class TestAuditOracle:
+    """The array comparison reports what the pair-at-a-time one does,
+    every field and every float equal."""
+
+    @staticmethod
+    def assert_identical(got, want):
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(audit_cases())
+    @example(_case("multi", [1, 2, 1, 2, 1], 3))  # no sample: one variant, paired with itself
+    @example(_case("full", [1, 2, 1, 3, 1], 2))  # one sample
+    @example(_case("naive", [1, 2, 1, 3, 1], 3))
+    @example(_case("single", [], 1))
+    @example(_case("naive", [1, 3, 3, 3, 2, 3, 2, 1, 1], 1, [0.6, 0.9, 0.6, 0.5, 0.7, 1.0, 0.9, 0.8, 0.1]))
+    def test_reports_equal_reference(self, case):
+        config, events, changed_user = case
+        users = [ev.user for ev in events]
+        self.assert_identical(
+            audit_value_grid(config, users, changed_user),
+            reference_audit_value_grid(config, users, changed_user),
+        )
+        self.assert_identical(
+            audit_sensitivity(config, events, changed_user),
+            reference_audit_sensitivity(config, events, changed_user),
+        )
+
+    def test_ten_sample_grid_memory(self):
+        # 2^10 replays and 523,776 pairs; a Python list of the pairs alone
+        # takes 33 MiB
+        users = [2, 1, 2, 3] * 5
+        config = EstimatorConfig(algorithm="multi", n=3, m=16, eps=1.0, delta=0.1, prior=0.5)
+        assert users.count(2) == 10
+        tracemalloc.start()
+        try:
+            report = audit_value_grid(config, users, changed_user=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 32 * 2**20
 
 
 class TestCli:
