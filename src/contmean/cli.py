@@ -13,22 +13,14 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from contmean.estimators import EstimatorConfig, OrderingError
-from contmean.harness import ExperimentSpec, audit_sensitivity, run, sweep
-from contmean.streams import (
-    ORDERING_KINDS,
-    OrderingSpec,
-    StreamParseError,
-    generate,
-    read_stream,
-    write_stream,
-)
+from contmean.estimators import EstimatorConfig
+from contmean.harness import _CONFIG_FIELDS, ExperimentSpec, audit_sensitivity, run, sweep
+from contmean.streams import ORDERING_KINDS, OrderingSpec, generate, read_stream, write_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,12 +51,9 @@ def _load_spec(path: str) -> dict:
     return spec
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(EstimatorConfig)}
-
-
 def _split_config(spec: dict) -> tuple[EstimatorConfig, dict]:
-    config_kwargs = {k: v for k, v in spec.items() if k in _CONFIG_KEYS}
-    rest = {k: v for k, v in spec.items() if k not in _CONFIG_KEYS}
+    config_kwargs = {k: v for k, v in spec.items() if k in _CONFIG_FIELDS}
+    rest = {k: v for k, v in spec.items() if k not in _CONFIG_FIELDS}
     return EstimatorConfig(**config_kwargs), rest
 
 
@@ -189,10 +178,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (OrderingError, StreamParseError) as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    # OrderingError, StreamParseError and json.JSONDecodeError are ValueErrors
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

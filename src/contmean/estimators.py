@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from contmean.binmech import BinaryMechanism
-from contmean.median import MedianRequest, prior_array_count, private_median
+from contmean.median import MedianRequest, private_median
 from contmean.noise import BudgetLedger, spawn_rng
 from contmean.streams import StreamEvent
 from contmean.truncate import (
@@ -314,11 +314,6 @@ def _diversity_rhs(max_count: int, eps: float, delta: float, m: int) -> float:
     return (max_count / 2.0) * (16.0 / prior.share) * math.log(math.sqrt(max_count) / prior.beta)
 
 
-def _diversity_report(lhs: float, max_count: int, eps: float, delta: float, m: int) -> DiversityReport:
-    rhs = _diversity_rhs(max_count, eps, delta, m)
-    return DiversityReport(satisfied=lhs >= rhs, lhs=lhs, rhs=rhs, max_count=max_count)
-
-
 def check_diversity(
     counts: Mapping[int, int] | UserLedger, eps: float, delta: float, m: int
 ) -> DiversityReport:
@@ -335,7 +330,8 @@ def check_diversity(
         raise ValueError("diversity check needs at least one observed sample")
     max_count = max(counts.values())
     lhs = float(sum(min(c, max_count / 2.0) for c in counts.values()))
-    return _diversity_report(lhs, max_count, eps, delta, m)
+    rhs = _diversity_rhs(max_count, eps, delta, m)
+    return DiversityReport(satisfied=lhs >= rhs, lhs=lhs, rhs=rhs, max_count=max_count)
 
 
 class CappedSum:
@@ -446,9 +442,10 @@ class _EstimatorBase:
         """Raise if this estimator cannot take ``event``; runs before any
         state changes."""
 
-    def _process(self, event: StreamEvent) -> list[str]:
-        """Consume one event: count it in ``counts``, update mechanisms and
-        ``total``; return step flags."""
+    def _process(self, event: StreamEvent, count: int) -> bool:
+        """Consume one event of a user that held ``count`` samples before
+        it: count it in ``counts``, update mechanisms and ``total``; return
+        whether a block was clipped."""
         raise NotImplementedError
 
     def _noisy_sum(self) -> float:
@@ -478,12 +475,12 @@ class _EstimatorBase:
         supply = self.supply
         max_rose = supply.add(count)
 
-        flags = self._process(event)
+        flags = ("clip",) if self._process(event, count) else ()
 
         if self.total:
             estimate = self._noisy_sum() / self.total
             if not 0.0 <= estimate <= 1.0:
-                flags.append("oob")
+                flags += ("oob",)
         else:
             # only wishful gets here: it holds its first user's batch back
             # until all m samples arrive, while the others release every
@@ -497,11 +494,9 @@ class _EstimatorBase:
                 half.value = supply.capped_sum(half.cap)
                 self._diversity_rhs = _diversity_rhs(max_count, cfg.eps, cfg.delta, cfg.m)
             if half.value >= self._diversity_rhs:
-                flags.append("div")
+                flags += ("div",)
 
-        record = TraceRecord(
-            self.t, user, estimate, self.total, supply.max_count, self._active, tuple(flags)
-        )
+        record = TraceRecord(self.t, user, estimate, self.total, supply.max_count, self._active, flags)
         if cfg.keep_trace:
             self.records.append(record)
         return record
@@ -510,12 +505,8 @@ class _EstimatorBase:
         return [self.step(ev) for ev in events]
 
     def diversity(self) -> DiversityReport:
-        max_count = self.supply.max_count
-        if max_count == 0:
-            raise ValueError("diversity check needs at least one observed sample")
-        lhs = float(self.supply.capped_sum(max_count / 2.0))
         cfg = self.config
-        return _diversity_report(lhs, max_count, cfg.eps, cfg.delta, cfg.m)
+        return check_diversity(self.counts, cfg.eps, cfg.delta, cfg.m)
 
 
 class NaiveEstimator(_EstimatorBase):
@@ -525,11 +516,11 @@ class NaiveEstimator(_EstimatorBase):
         if self.t >= self.config.T:
             raise ValueError(f"stream longer than configured T={self.config.T}")
 
-    def _process(self, event: StreamEvent) -> list[str]:
-        self.counts[event.user] = self.counts.get(event.user, 0) + 1
+    def _process(self, event: StreamEvent, count: int) -> bool:
+        self.counts[event.user] = count + 1
         self.mechanisms[0].append(event.value)
         self.total = self.t
-        return []
+        return False
 
 
 class WishfulEstimator(NaiveEstimator):
@@ -553,18 +544,18 @@ class WishfulEstimator(NaiveEstimator):
                 "this estimator requires"
             )
 
-    def _process(self, event: StreamEvent) -> list[str]:
-        self.counts[event.user] = self.counts.get(event.user, 0) + 1
+    def _process(self, event: StreamEvent, count: int) -> bool:
+        self.counts[event.user] = count + 1
         self._block.append(event.value)
         m = self.config.m
         if len(self._block) < m:
-            return []
+            return False
         raw = math.fsum(self._block)
         sigma = raw if self.config.clip_disabled else project(self._interval, raw, m)
         self.mechanisms[0].append(sigma)
         self.total += m
         self._block = []
-        return ["clip"] if sigma != raw else []
+        return sigma != raw
 
 
 class WithholdReleaseEstimator(_EstimatorBase):
@@ -589,13 +580,14 @@ class WithholdReleaseEstimator(_EstimatorBase):
         self._intervals: dict[int, TruncationInterval] = {}
         self._sum: float | None = 0.0  # noisy sum over all counters, until the next append
 
-    def _process(self, event: StreamEvent) -> list[str]:
+    def _process(self, event: StreamEvent, count: int) -> bool:
         decision = self.ledger.on_sample(event.user, event.value)
         if not decision.released:
-            return []
+            return False
         return self._release(decision.level, decision.block_sum, decision.block_size)
 
-    def _release(self, level: int, block_sum: float, block_size: int) -> list[str]:
+    def _release(self, level: int, block_sum: float, block_size: int) -> bool:
+        """Feed one block to its level's counter; return whether it was clipped."""
         sigma = block_sum
         if level >= self._first_clipped and not self.config.clip_disabled:
             interval = self._intervals.get(level)
@@ -607,7 +599,7 @@ class WithholdReleaseEstimator(_EstimatorBase):
         self.mechanisms[self._feeds[level]].append(sigma)
         self.total += block_size
         self._sum = None
-        return ["clip"] if sigma != block_sum else []
+        return sigma != block_sum
 
     def _noisy_sum(self) -> float:
         if self._sum is None:
@@ -623,64 +615,72 @@ class FullEstimator(WithholdReleaseEstimator):
 
     def __init__(self, config: EstimatorConfig):
         super().__init__(config)
-        big_l = len(self.mechanisms) - 1
-        self.inactive: set[int] = set(range(2, len(self.mechanisms)))
-        self.buffers: dict[int, list[float]] = {lv: [] for lv in self.inactive}
+        levels = range(2, len(self.mechanisms))
+        # a level is inactive exactly while it holds a buffer
+        self.buffers: dict[int, list[float]] = {lv: [] for lv in levels}
         self.priors: dict[int, float] = {}
-        self._prior_rows = dict(enumerate(self.table[:big_l], start=1))
         # each user's first 2^(L-1) events: the most any level's median reads
         self._history: list[StreamEvent] = []
-        self._history_cap = 1 << (big_l - 1) if self.inactive else 0
-        # (level, sum_u min(M(u), 2^(level-1)), activation threshold) per
-        # inactive level, ascending; the threshold fills the level's median arrays
-        self._waiting: list[tuple[int, CappedSum, int]] = []
-        for lv in sorted(self.inactive):
-            row = self._prior_rows[lv]
-            threshold = (1 << (lv - 1)) * math.ceil(prior_array_count(row.share, lv, row.beta))
-            self._waiting.append((lv, self.supply.track(1 << (lv - 1)), threshold))
+        self._history_cap = 1 << (len(self.mechanisms) - 2) if self.buffers else 0
+        # per level >= 2: sum_u min(M(u), 2^(level-1)), tracked until the
+        # level activates, and the supply that fills its median's arrays
+        self._gates: dict[int, tuple[CappedSum, int]] = {}
+        for lv in levels:
+            request = self._median_request(lv)
+            supply = self.supply.track(request.array_size)
+            self._gates[lv] = (supply, request.arrays_required * request.array_size)
         self._active = (0, 1)
+
+    @property
+    def inactive(self) -> set[int]:
+        return set(self.buffers)
 
     def buffered_sample_count(self) -> int:
         return sum((1 << (lv - 1)) * len(vals) for lv, vals in self.buffers.items())
 
-    def _prior_for(self, level: int) -> float:
+    def _median_request(self, level: int) -> MedianRequest:
+        row = self.table[level - 1]  # the prior rows of levels 1..L lead the table
+        return MedianRequest(tuple(self._history), row.share, level, row.beta)
+
+    def _activate(self, level: int) -> None:
         cfg = self.config
         if cfg.prior_override is not None:
-            return cfg.prior_override
-        row = self._prior_rows[level]
-        request = MedianRequest(tuple(self._history), row.share, level, row.beta)
-        return private_median(request, spawn_rng(cfg.seed, 2, level))
-
-    def _activate(self, level: int, capped: CappedSum) -> None:
-        cfg = self.config
-        prior = self._prior_for(level)
+            prior = cfg.prior_override
+        else:
+            prior = private_median(self._median_request(level), spawn_rng(cfg.seed, 2, level))
         self.priors[level] = prior
         self._intervals[level] = interval_full(prior, level, cfg.n, cfg.m, cfg.eps, cfg.delta)
-        self.inactive.discard(level)
         for raw in self.buffers.pop(level):
             self._release(level, raw, 1 << (level - 1))
-        self.supply.untrack(capped)
-        self._waiting = [w for w in self._waiting if w[0] != level]
-        self._active = tuple(lv for lv in range(len(self.mechanisms)) if lv not in self.inactive)
-        if not self.inactive:
+        self.supply.untrack(self._gates[level][0])
+        self._active = tuple(lv for lv in range(len(self.mechanisms)) if lv not in self.buffers)
+        if not self.buffers:
             self._history = []
             self._history_cap = 0
 
-    def _process(self, event: StreamEvent) -> list[str]:
-        if self.counts.get(event.user, 0) < self._history_cap:
+    def _process(self, event: StreamEvent, count: int) -> bool:
+        if count < self._history_cap:
             self._history.append(event)
         # activation reads the post-increment counts (``step`` has already
         # moved this user in ``supply``) and runs before this event's own
-        # release is routed
-        for level, capped, threshold in self._waiting:
-            if capped.value >= threshold:
-                self._activate(level, capped)
+        # release is routed.  Levels activate in ascending order: level l+1's
+        # capped sum is at most twice level l's, and its threshold (arrays
+        # twice as long, and no fewer) at least twice level l's, so only the
+        # lowest inactive level can be next.
+        buffers = self.buffers
+        while buffers:
+            level = next(iter(buffers))
+            capped, threshold = self._gates[level]
+            if capped.value < threshold:
+                break
+            self._activate(level)
         decision = self.ledger.on_sample(event.user, event.value)
         if not decision.released:
-            return []
-        if decision.level in self.inactive:
-            self.buffers[decision.level].append(decision.block_sum)
-            return []
+            return False
+        buffer = self.buffers.get(decision.level)
+        if buffer is not None:
+            buffer.append(decision.block_sum)
+            return False
         return self._release(decision.level, decision.block_sum, decision.block_size)
 
 

@@ -302,11 +302,12 @@ def _diff_report(
     changed_user: int,
     left: list[np.ndarray],
     right: list[np.ndarray],
-    pairs: tuple[np.ndarray, np.ndarray],
+    upper: bool,
 ) -> AuditReport:
-    """Worst disturbance over the pairs (left row ``pairs[0][p]``, right row
-    ``pairs[1][p]``): per counter the most entries moved by more than 1e-9
-    and the largest l1 shift, plus the largest shift summed over counters."""
+    """Worst disturbance over the pairs of a left row i and a right row j
+    (only j > i when ``upper``, for left and right the same runs): per
+    counter the most entries moved by more than 1e-9 and the largest l1
+    shift, plus the largest shift summed over counters."""
     bounds = _per_mechanism_bounds(config)
     n_mech = len(bounds)
     widths = [a.shape[1] for a in left]
@@ -314,12 +315,21 @@ def _diff_report(
     worst_count = [0] * n_mech
     worst_l1 = [0.0] * n_mech
     worst_total_l1 = 0.0
-    li, ri = pairs
-    # pairs go through in blocks, so the differences held at once stay
-    # bounded however many pairs a grid has
+    # pairs are numbered row by row, i ascending, then j; those of left row
+    # i are right rows firsts[i].. and start at number offsets[i]
+    n_left, n_right = left[0].shape[0], right[0].shape[0]
+    firsts = np.arange(1, n_left + 1) if upper else np.zeros(n_left, dtype=np.intp)
+    counts = n_right - firsts
+    offsets = np.cumsum(counts) - counts
+    n_pairs = int(counts.sum())
+    # pairs go through in blocks, each block's indices built on the spot, so
+    # the indices and differences held at once stay bounded however many
+    # pairs a grid has
     block = max(1, _BLOCK_ENTRIES // max([1, *widths]))
-    for start in range(0, len(li), block):
-        lb, rb = li[start : start + block], ri[start : start + block]
+    for start in range(0, n_pairs, block):
+        p = np.arange(start, min(start + block, n_pairs))
+        lb = np.searchsorted(offsets, p, side="right") - 1
+        rb = p - offsets[lb] + firsts[lb]
         total = 0.0
         for i, (a, b) in enumerate(zip(left, right)):
             diff = a[lb]
@@ -369,9 +379,7 @@ def audit_sensitivity(
     positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
     base = _collect_nps(config, [events])
     variants = _value_grid_runs(config, events, positions)
-    count = variants[0].shape[0]
-    pairs = (np.zeros(count, dtype=np.intp), np.arange(count))
-    return _diff_report(config, changed_user, base, variants, pairs)
+    return _diff_report(config, changed_user, base, variants, upper=False)
 
 
 def audit_value_grid(
@@ -387,7 +395,6 @@ def audit_value_grid(
     events = [StreamEvent(t=i + 1, user=u, value=0.0) for i, u in enumerate(users)]
     positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
     variants = _value_grid_runs(config, events, positions)
-    # every i < j, in row-major order; a user without samples has one
-    # variant and no pair, which reports no change
-    pairs = np.triu_indices(variants[0].shape[0], 1)
-    return _diff_report(config, changed_user, variants, variants, pairs)
+    # every i < j; a user without samples has one variant and no pair,
+    # which reports no change
+    return _diff_report(config, changed_user, variants, variants, upper=True)

@@ -11,7 +11,7 @@ centers truncation intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class BinGrid:
 
     width: float
     midpoints: tuple[float, ...]
-    edges: tuple[float, ...] = field(repr=False, default=())
 
     @classmethod
     def for_level(cls, level: int) -> "BinGrid":
@@ -97,7 +96,7 @@ class BinGrid:
             edges.append(edges[-1] + width)
         edges.append(1.0)
         mids = tuple((lo + hi) / 2.0 for lo, hi in zip(edges, edges[1:]))
-        return cls(width=width, midpoints=mids, edges=tuple(edges))
+        return cls(width=width, midpoints=mids)
 
     def nearest_midpoint(self, y: float) -> float:
         """Closest midpoint to y; ties break toward the smaller midpoint."""

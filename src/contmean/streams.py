@@ -10,8 +10,7 @@ shortest round-trip decimals.
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from contmean.noise import spawn_rng
@@ -59,7 +58,6 @@ class OrderingSpec:
     kind: str
     prefix_len: int | None = None
     path: str | None = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ORDERING_KINDS:
@@ -118,30 +116,37 @@ def _user_sequence(ordering: OrderingSpec, n: int, m: int, T: int, rng) -> list[
         # user 1's prefix, then users 2, 3, ... with m samples each
         return [1] * prefix + [2 + i // m for i in range(rest)]
     if ordering.kind == "from_file":
+        # the one ordering not bounded by construction: check it against
+        # n and m, naming the first user, in stream order, to break either
         events = read_stream(ordering.path)
         if len(events) < T:
             raise ValueError(f"{ordering.path} holds {len(events)} events, need {T}")
-        return [ev.user for ev in events[:T]]
+        users = [ev.user for ev in events[:T]]
+        counts: dict[int, int] = {}
+        for u in users:
+            if u > n:
+                raise ValueError(f"{ordering.path} names user {u} outside [1, {n}]")
+            counts[u] = counts.get(u, 0) + 1
+            if counts[u] > m:
+                raise ValueError(f"ordering gives user {u} more than m={m} samples")
+        return users
     raise AssertionError(ordering.kind)
 
 
 def generate(
     mu: float, n: int, m: int, T: int, ordering: OrderingSpec, seed: int
 ) -> list[StreamEvent]:
-    """Draw a Bernoulli(mu) stream of length T under the given ordering."""
+    """Draw a Bernoulli(mu) stream of length T under the given ordering.
+
+    Every user is in [1, n] and gets at most m samples; a ``from_file``
+    ordering that breaks either raises ValueError.
+    """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     if T > n * m:
         raise ValueError(f"infeasible ordering: T={T} exceeds n*m={n * m}")
     rng = spawn_rng(seed, 0)
     users = _user_sequence(ordering, n, m, T, rng)
-    if users and max(Counter(users).values()) > m:
-        # name the first user, in stream order, to pass the cap
-        counts: dict[int, int] = {}
-        for u in users:
-            counts[u] = counts.get(u, 0) + 1
-            if counts[u] > m:
-                raise ValueError(f"ordering gives user {u} more than m={m} samples")
     values = (rng.random(T) < mu).astype(float).tolist()
     return list(map(StreamEvent, range(1, T + 1), users, values))
 

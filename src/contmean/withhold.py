@@ -40,8 +40,6 @@ class UserLedger:
     def __init__(self) -> None:
         self.counts: dict[int, int] = {}
         self.pending: dict[int, list[float]] = {}
-        self._seen = 0
-        self._pending_total = 0
 
     def on_sample(self, user_id: int, value: float) -> ReleaseDecision:
         """Record one sample; release iff the user's count becomes 2^level."""
@@ -49,27 +47,25 @@ class UserLedger:
             raise ValueError(f"sample value must be finite, got {value}")
         count = self.counts.get(user_id, 0) + 1
         self.counts[user_id] = count
-        self._seen += 1
         if count & (count - 1):  # not a power of two: withhold
             self.pending.setdefault(user_id, []).append(value)
-            self._pending_total += 1
             return _WITHHOLD
         level = count.bit_length() - 1
-        held = self.pending.pop(user_id, [])
-        self._pending_total -= len(held)
-        block = held + [value] if level >= 1 else [value]
+        # levels 0 and 1 find nothing withheld: the block is this sample
+        block = self.pending.pop(user_id, [])
+        block.append(value)
         return ReleaseDecision(True, level, math.fsum(block), 1 << max(level - 1, 0))
 
     def released_info_count(self) -> int:
         """Number of samples whose information has been released so far."""
-        return self._seen - self._pending_total
+        return self.samples_seen() - self.pending_count()
 
     def pending_count(self) -> int:
         """Samples currently withheld across all users."""
-        return self._pending_total
+        return sum(map(len, self.pending.values()))
 
     def samples_seen(self) -> int:
-        return self._seen
+        return sum(self.counts.values())
 
     def count_of(self, user_id: int) -> int:
         return self.counts.get(user_id, 0)

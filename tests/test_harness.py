@@ -16,6 +16,7 @@ from contmean.estimators import (
     multi_noise_scale,
     naive_noise_scale,
     single_noise_scale,
+    wishful_noise_scale,
 )
 from contmean.harness import (
     ExperimentSpec,
@@ -250,12 +251,10 @@ class TestAuditOracle:
             reference_audit_sensitivity(config, events, changed_user),
         )
 
-    def test_ten_sample_grid_memory(self):
-        # 2^10 replays and 523,776 pairs; a Python list of the pairs alone
-        # takes 33 MiB
-        users = [2, 1, 2, 3] * 5
+    @staticmethod
+    def assert_grid_fits(users, samples):
         config = EstimatorConfig(algorithm="multi", n=3, m=16, eps=1.0, delta=0.1, prior=0.5)
-        assert users.count(2) == 10
+        assert users.count(2) == samples
         tracemalloc.start()
         try:
             report = audit_value_grid(config, users, changed_user=2)
@@ -264,6 +263,16 @@ class TestAuditOracle:
             tracemalloc.stop()
         assert report.passed
         assert peak <= 32 * 2**20
+
+    def test_ten_sample_grid_memory(self):
+        # 2^10 replays and 523,776 pairs; a Python list of the pairs alone
+        # takes 33 MiB
+        self.assert_grid_fits([2, 1, 2, 3] * 5, 10)
+
+    def test_twelve_sample_grid_memory(self):
+        # 2^12 replays and 8.4 M pairs, the most an audit attempts: the two
+        # index arrays of every pair at once would take 128 MiB
+        self.assert_grid_fits([2, 1, 2, 3] * 6, 12)
 
 
 class TestCli:
@@ -339,6 +348,29 @@ class TestCli:
         spec_path.write_text(json.dumps(bad))
         assert main(["run", "--spec", str(spec_path)]) == 2
 
+    def test_malformed_stream_exit_code_two(self, tmp_path, capsys):
+        stream_path = tmp_path / "s.csv"
+        stream_path.write_text("t,user,value\n1,1,0.5\n2,x,0.5\n")
+        audit_spec = {
+            "algorithm": "naive", "n": 2, "m": 2, "eps": 1.0, "delta": 0.1,
+            "T": 2, "stream": str(stream_path), "changed_user": 1,
+        }
+        spec_path = tmp_path / "audit.json"
+        spec_path.write_text(json.dumps(audit_spec))
+        assert main(["audit", "--spec", str(spec_path)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_ordering_violation_exit_code_two(self, tmp_path, capsys):
+        run_spec = {
+            "algorithm": "wishful", "n": 2, "m": 2, "eps": 1.0, "delta": 0.1, "T": 4,
+            "prior": 0.5, "mu": 0.5, "ordering": "round_robin", "trials": 1,
+            "checkpoints": [4],
+        }
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(run_spec))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        assert "user-contiguous" in capsys.readouterr().err
+
     def test_audit_failure_exit_code_three(self, tmp_path, monkeypatch):
         # force a failing audit by monkeypatching the bound computation
         import contmean.harness as harness_mod
@@ -385,18 +417,20 @@ class TestCalibration:
         levels = range(math.ceil(math.log2(m)) + 1)
         if algorithm == "naive":
             return [naive_noise_scale(m, T, eps)]
+        if algorithm == "wishful":
+            return [wishful_noise_scale(m, n, eps, delta)]
         if algorithm == "single":
             return [single_noise_scale(m, n, eps, delta)]
         scale = multi_noise_scale if algorithm == "multi" else full_noise_scale
         return [scale(m, n, lv, eps, delta) for lv in levels]
 
-    @pytest.mark.parametrize("algorithm", ["naive", "single", "multi", "full"])
+    @pytest.mark.parametrize("algorithm", ["naive", "wishful", "single", "multi", "full"])
     @pytest.mark.parametrize("n,m,eps,delta,T", GRID)
     def test_eta_share_bound_and_budget_agree(self, algorithm, n, m, eps, delta, T):
         config = EstimatorConfig(
             algorithm=algorithm, n=n, m=m, eps=eps, delta=delta,
-            T=T if algorithm == "naive" else None,
-            prior=0.5 if algorithm in ("single", "multi") else None,
+            T=T if algorithm in ("naive", "wishful") else None,
+            prior=0.5 if algorithm in ("wishful", "single", "multi") else None,
         )
         est = make_estimator(config)
         shares = [e for label, e in est.budget.entries if label.startswith("mech")]

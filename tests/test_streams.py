@@ -141,6 +141,19 @@ class TestGenerate:
         replayed = generate(0.9, 3, 4, 10, OrderingSpec("from_file", path=str(path)), seed=6)
         assert [ev.user for ev in replayed] == [ev.user for ev in base]
 
+    def test_from_file_user_over_cap_rejected(self, tmp_path):
+        path = tmp_path / "base.csv"
+        users = [1, 2, 3, 2, 3, 3]  # user 3 is the first to pass m=2
+        write_stream([StreamEvent(t, u, 0.5) for t, u in enumerate(users, start=1)], path)
+        with pytest.raises(ValueError, match=r"user 3 more than m=2"):
+            generate(0.5, 3, 2, 6, OrderingSpec("from_file", path=str(path)), seed=0)
+
+    def test_from_file_user_above_n_rejected(self, tmp_path):
+        path = tmp_path / "base.csv"
+        write_stream([StreamEvent(1, 1, 0.5), StreamEvent(2, 4, 0.5)], path)
+        with pytest.raises(ValueError, match=r"user 4 outside \[1, 3\]"):
+            generate(0.5, 3, 2, 2, OrderingSpec("from_file", path=str(path)), seed=0)
+
     def test_bad_mu_rejected(self):
         with pytest.raises(ValueError):
             generate(1.5, 2, 2, 2, OrderingSpec("round_robin"), seed=0)
