@@ -578,7 +578,8 @@ class WithholdReleaseEstimator(_EstimatorBase):
         # counter index fed by each release level
         self._feeds = [0] * levels if len(self.mechanisms) == 1 else list(range(levels))
         self._intervals: dict[int, TruncationInterval] = {}
-        self._sum: float | None = 0.0  # noisy sum over all counters, until the next append
+        self._sums = [0.0] * len(self.mechanisms)  # each counter's noisy sum
+        self._sum: float | None = 0.0  # their fsum, until the next append
 
     def _process(self, event: StreamEvent, count: int) -> bool:
         decision = self.ledger.on_sample(event.user, event.value)
@@ -596,14 +597,17 @@ class WithholdReleaseEstimator(_EstimatorBase):
                 interval = interval_single(cfg.prior, level, cfg.m, cfg.n, cfg.delta)
                 self._intervals[level] = interval
             sigma = project(interval, block_sum, block_size)
-        self.mechanisms[self._feeds[level]].append(sigma)
+        i = self._feeds[level]
+        mech = self.mechanisms[i]
+        mech.append(sigma)
+        self._sums[i] = mech.sum()
         self.total += block_size
         self._sum = None
         return sigma != block_sum
 
     def _noisy_sum(self) -> float:
         if self._sum is None:
-            self._sum = math.fsum(mech.sum() for mech in self.mechanisms)
+            self._sum = math.fsum(self._sums)
         return self._sum
 
 

@@ -6,11 +6,17 @@ of bin midpoints and one midpoint is drawn with probability falling off
 exponentially in how far it sits from the median of the snapped means.  The
 result is a coarse mean prior, accurate to roughly 2^(-level/2), that later
 centers truncation intervals.
+
+One call is a single O(h log h) numpy pass over the h events of the
+history: a stable sort by user packs the arrays, and the array means, the
+snap to the grid and the midpoint costs are whole-array operations, O(k)
+per midpoint.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,13 +106,51 @@ class BinGrid:
 
     def nearest_midpoint(self, y: float) -> float:
         """Closest midpoint to y; ties break toward the smaller midpoint."""
-        best = self.midpoints[0]
-        best_d = abs(y - best)
-        for mid in self.midpoints[1:]:
-            d = abs(y - mid)
-            if d < best_d - 1e-15:
-                best, best_d = mid, d
+        return float(self.snap(np.array([y], dtype=float))[0])
+
+    def snap(self, ys: np.ndarray) -> np.ndarray:
+        """Closest midpoint to each of ``ys``.  Midpoints are scanned in
+        ascending order and a later one wins only if it is closer by more
+        than 1e-15, so ties break toward the smaller midpoint."""
+        mids = self.midpoints
+        best = np.full(len(ys), mids[0])
+        best_d = np.abs(ys - mids[0])
+        for mid in mids[1:]:
+            d = np.abs(ys - mid)
+            closer = d < best_d - 1e-15
+            best[closer] = mid
+            best_d[closer] = d[closer]
         return best
+
+
+def _pack(request: MedianRequest) -> np.ndarray:
+    """The (k, 2^(level-1)) float64 array of ``pack_arrays``."""
+    k = request.arrays_required
+    size = request.array_size
+    history = request.history
+    h = len(history)
+    users = np.fromiter(map(operator.itemgetter(1), history), dtype=np.int64, count=h)
+    values = np.fromiter(map(operator.itemgetter(2), history), dtype=np.float64, count=h)
+
+    # ascending user, each user's events in arrival order
+    order = np.argsort(users, kind="stable")
+    users = users[order]
+    # each event's rank among its user's events: its index minus the index
+    # where its user's run starts
+    rank = np.arange(h)
+    run_start = np.ones(h, dtype=bool)
+    np.not_equal(users[1:], users[:-1], out=run_start[1:])
+    start = np.where(run_start, rank, 0)
+    np.maximum.accumulate(start, out=start)
+    rank -= start
+    kept = order[rank < size]
+
+    if len(kept) < k * size:
+        raise InsufficientDiversityError(
+            f"need {k} arrays of {size} samples ({k * size} total) but only "
+            f"{len(kept)} user-capped samples are available"
+        )
+    return values[kept[: k * size]].reshape(k, size)
 
 
 def pack_arrays(request: MedianRequest) -> list[list[float]]:
@@ -117,32 +161,7 @@ def pack_arrays(request: MedianRequest) -> list[list[float]]:
     so no user spans more than two arrays.  Packing stops once the last
     array is full; raises if the history cannot fill all arrays.
     """
-    k = request.arrays_required
-    size = request.array_size
-
-    per_user: dict[int, list[float]] = {}
-    for ev in request.history:
-        bucket = per_user.setdefault(ev.user, [])
-        if len(bucket) < size:
-            bucket.append(ev.value)
-
-    usable = sum(len(v) for v in per_user.values())
-    if usable < k * size:
-        raise InsufficientDiversityError(
-            f"need {k} arrays of {size} samples ({k * size} total) but only "
-            f"{usable} user-capped samples are available"
-        )
-
-    arrays: list[list[float]] = [[] for _ in range(k)]
-    j = 0
-    for user in sorted(per_user):
-        for x in per_user[user]:
-            arrays[j].append(x)
-            if len(arrays[j]) == size:
-                j += 1
-                if j == k:
-                    return arrays
-    raise InsufficientDiversityError("packing ended before the last array filled")
+    return _pack(request).tolist()
 
 
 def private_median(request: MedianRequest, rng: np.random.Generator) -> float:
@@ -152,14 +171,13 @@ def private_median(request: MedianRequest, rng: np.random.Generator) -> float:
     means strictly below and strictly above it, so low-cost midpoints sit
     near the median of the array means.
     """
-    arrays = pack_arrays(request)
+    # rows are C-contiguous, so each mean is the pairwise sum np.mean takes
+    # of that row alone
+    means = _pack(request).mean(axis=1)
     grid = BinGrid.for_level(request.level)
-    snapped = [grid.nearest_midpoint(float(np.mean(arr))) for arr in arrays]
-
-    def cost(y: float) -> float:
-        below = sum(1 for s in snapped if s < y)
-        above = sum(1 for s in snapped if s > y)
-        return float(max(below, above))
-
-    candidates = [(mid, cost(mid)) for mid in grid.midpoints]
+    snapped = grid.snap(means)
+    candidates = [
+        (mid, float(max(np.count_nonzero(snapped < mid), np.count_nonzero(snapped > mid))))
+        for mid in grid.midpoints
+    ]
     return float(exp_mechanism_sample(candidates, request.eps, rng))

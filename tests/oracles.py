@@ -7,7 +7,10 @@ runs.  ``noisy_counter`` takes only the dyadic decomposition and the scalar
 Laplace draw from the package.  ``reference_trace_csv`` writes trace records
 through ``csv.writer``.  The ``reference_audit_*`` functions replay an audit
 through ``make_estimator`` as the auditor does, but compare its neighbor
-runs one numpy pair at a time, in ``reference_diff_report``.
+runs one numpy pair at a time, in ``reference_diff_report``.  The
+``reference_*`` median functions pack, snap and count one array at a time
+in Python loops, as the package did before those steps became whole-array
+numpy operations.
 """
 
 import csv
@@ -19,7 +22,8 @@ import numpy as np
 from contmean.binmech import decompose
 from contmean.estimators import make_estimator
 from contmean.harness import AuditMechanismReport, AuditReport, _audit_config, _per_mechanism_bounds
-from contmean.noise import laplace
+from contmean.median import BinGrid, InsufficientDiversityError
+from contmean.noise import exp_mechanism_sample, laplace
 from contmean.streams import StreamEvent
 
 
@@ -146,6 +150,79 @@ def noisy_counter(values, eta, rng):
         for end in decompose(k).ends():
             acc += nps[end - 1]
         yield nps[-1], acc
+
+
+def reference_nearest_midpoint(midpoints, y):
+    """Closest midpoint to y; ties break toward the smaller midpoint."""
+    best = midpoints[0]
+    best_d = abs(y - best)
+    for mid in midpoints[1:]:
+        d = abs(y - mid)
+        if d < best_d - 1e-15:
+            best, best_d = mid, d
+    return best
+
+
+def reference_pack_arrays(request):
+    """Fill k arrays of 2^(level-1) samples from per-user contributions.
+
+    Users are visited in ascending user id; each contributes its first
+    min(count, 2^(level-1)) samples in arrival order, written contiguously,
+    so no user spans more than two arrays.  Packing stops once the last
+    array is full; raises if the history cannot fill all arrays.
+    """
+    k = request.arrays_required
+    size = request.array_size
+
+    per_user = {}
+    for ev in request.history:
+        bucket = per_user.setdefault(ev.user, [])
+        if len(bucket) < size:
+            bucket.append(ev.value)
+
+    usable = sum(len(v) for v in per_user.values())
+    if usable < k * size:
+        raise InsufficientDiversityError(
+            f"need {k} arrays of {size} samples ({k * size} total) but only "
+            f"{usable} user-capped samples are available"
+        )
+
+    arrays = [[] for _ in range(k)]
+    j = 0
+    for user in sorted(per_user):
+        for x in per_user[user]:
+            arrays[j].append(x)
+            if len(arrays[j]) == size:
+                j += 1
+                if j == k:
+                    return arrays
+    raise InsufficientDiversityError("packing ended before the last array filled")
+
+
+def reference_snapped_means(request):
+    """Each packed array's mean, snapped to the level's grid."""
+    grid = BinGrid.for_level(request.level)
+    arrays = reference_pack_arrays(request)
+    return [reference_nearest_midpoint(grid.midpoints, float(np.mean(arr))) for arr in arrays]
+
+
+def reference_private_median(request, rng):
+    """Return a bin midpoint drawn with probability ~ exp(-(eps/4) * cost).
+
+    The cost of a midpoint is the larger of the counts of snapped array
+    means strictly below and strictly above it, so low-cost midpoints sit
+    near the median of the array means.
+    """
+    grid = BinGrid.for_level(request.level)
+    snapped = reference_snapped_means(request)
+
+    def cost(y):
+        below = sum(1 for s in snapped if s < y)
+        above = sum(1 for s in snapped if s > y)
+        return float(max(below, above))
+
+    candidates = [(mid, cost(mid)) for mid in grid.midpoints]
+    return float(exp_mechanism_sample(candidates, request.eps, rng))
 
 
 def reference_trace_csv(records):

@@ -389,6 +389,26 @@ class TestAccountingInvariant:
             buffered = est.buffered_sample_count() if algorithm == "full" else 0
             assert est.total + est.ledger.pending_count() + buffered == est.t
 
+    @pytest.mark.parametrize("algorithm", ["single", "multi", "full"])
+    @pytest.mark.parametrize("ordering", ["uniform_random", "single_user_prefix"])
+    def test_estimate_is_fsum_of_counter_sums(self, algorithm, ordering):
+        # noise on; at the dense golden setting every full level activates,
+        # and under a single-user prefix some activate with blocks buffered,
+        # which the activation releases
+        p = GOLDEN_SETTINGS["dense"]
+        n, m, T = p["n"], p["m"], p["T"]
+        events = generate(p["mu"], n, m, T, OrderingSpec(ordering), seed=5)
+        est = make_estimator(any_config(algorithm, n=n, m=m, T=T, eps=p["eps"], delta=p["delta"], seed=5))
+        flushed = 0
+        for ev in events:
+            waiting = {lv: len(buf) for lv, buf in getattr(est, "buffers", {}).items()}
+            rec = est.step(ev)
+            flushed += sum(waiting[lv] for lv in getattr(est, "priors", {}) if lv in waiting)
+            assert rec.estimate == math.fsum(mech.sum() for mech in est.mechanisms) / rec.total
+        if algorithm == "full":
+            assert not est.inactive
+            assert flushed > 0 or ordering == "uniform_random"
+
     def test_half_total_law_when_all_levels_active(self):
         # single/multi never buffer, so total >= ceil(t/2) at every step
         events = generate(0.5, 5, 64, 150, OrderingSpec("uniform_random"), seed=17)

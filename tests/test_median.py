@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contmean.median import (
     BinGrid,
@@ -17,6 +20,12 @@ from contmean.median import (
 )
 from contmean.noise import spawn_rng
 from contmean.streams import StreamEvent
+from oracles import (
+    reference_nearest_midpoint,
+    reference_pack_arrays,
+    reference_private_median,
+    reference_snapped_means,
+)
 
 
 def make_history(samples_per_user: dict[int, list[float]]) -> tuple[StreamEvent, ...]:
@@ -209,3 +218,97 @@ class TestPrivateMedian:
             prior = private_median(req, spawn_rng(trial, 2))
             hits += abs(prior - mu) <= radius
         assert hits / trials >= 0.9
+
+
+def halfway_points(grid: BinGrid) -> list[float]:
+    return [(a + b) / 2.0 for a, b in zip(grid.midpoints, grid.midpoints[1:])]
+
+
+@st.composite
+def median_requests(draw):
+    """A request at levels 1-11 over users of any id, arriving in any order.
+
+    Values are floats, the ints 0 and 1, or one grid point per user (0, 1,
+    a midpoint or a point halfway between two), so that arrays filled by
+    one user have a mean exactly on a tie.  The array count k is drawn
+    first and the per-user counts may or may not supply k arrays.
+    """
+    level = draw(st.sampled_from(range(1, 12)))
+    size = 1 << (level - 1)
+    k = draw(st.integers(1, 6 if level <= 8 else 2))
+    users = draw(st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=6, unique=True))
+    counts = [draw(st.one_of(st.just(size), st.integers(0, 2 * size))) for _ in users]
+    kind = draw(st.sampled_from(["float", "int", "grid"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = BinGrid.for_level(level)
+    points = [0.0, 1.0, *grid.midpoints, *halfway_points(grid)]
+    samples = []
+    for user, count in zip(users, counts):
+        if kind == "float":
+            values = rng.random(count).tolist()
+        elif kind == "int":
+            values = rng.integers(0, 2, count).tolist()
+        else:
+            values = [points[rng.integers(len(points))]] * count
+        samples.extend((user, v) for v in values)
+    # any arrival order; each user's own samples keep no particular order
+    order = rng.permutation(len(samples))
+    history = tuple(StreamEvent(t + 1, *samples[i]) for t, i in enumerate(order))
+    beta = 0.5
+    eps = 16.0 * math.log(2.0 ** (level / 2) / beta) / k
+    return MedianRequest(history=history, eps=eps, level=level, beta=beta)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InsufficientDiversityError as exc:
+        return (type(exc), str(exc))
+
+
+class TestArrayOracle:
+    """The whole-array packer, snap and costs against the loop versions in
+    ``oracles``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(median_requests(), st.integers(0, 2**16))
+    def test_matches_loop_reference(self, req, seed):
+        packed = outcome(pack_arrays, req)
+        assert packed == outcome(reference_pack_arrays, req)
+        if isinstance(packed, tuple):
+            assert outcome(private_median, req, spawn_rng(seed, 2)) == packed
+            return
+        grid = BinGrid.for_level(req.level)
+        snapped = grid.snap(np.array(packed).mean(axis=1))
+        assert snapped.tolist() == reference_snapped_means(req)
+        assert private_median(req, spawn_rng(seed, 2)) == reference_private_median(
+            req, spawn_rng(seed, 2)
+        )
+
+    @pytest.mark.parametrize("level", range(1, 12))
+    def test_snap_matches_loop_on_and_near_ties(self, level):
+        grid = BinGrid.for_level(level)
+        ys = [0.0, 1.0, *grid.midpoints, *np.linspace(0.0, 1.0, 101)]
+        for y in halfway_points(grid):
+            ys += [y + d for d in (0.0, -2e-15, -1e-15, -5e-16, -1e-16, 1e-16, 5e-16, 1e-15, 2e-15)]
+        snapped = grid.snap(np.array(ys))
+        assert snapped.tolist() == [reference_nearest_midpoint(grid.midpoints, y) for y in ys]
+        assert [grid.nearest_midpoint(y) for y in ys] == snapped.tolist()
+
+    def test_level_six_median_memory(self):
+        # a history about as long as ``full`` keeps for its level-6 prior at
+        # n = 20,000, in Zipf-skewed user order; the bound leaves no room
+        # for an intermediate of one entry per (event, array) pair
+        rng = np.random.default_rng(6)
+        users = rng.zipf(1.3, 50_000) % 20_000 + 1
+        values = (rng.random(50_000) < 0.5).astype(float)
+        history = tuple(StreamEvent(t + 1, int(u), float(v)) for t, (u, v) in enumerate(zip(users, values)))
+        request = MedianRequest(history=history, eps=0.5, level=6, beta=0.1)
+        assert len(pack_arrays(request)) == request.arrays_required  # warm imports and caches
+        tracemalloc.start()
+        try:
+            private_median(request, spawn_rng(0, 2, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
