@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from array import array
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -107,6 +108,22 @@ class BinaryMechanism:
 
     def __len__(self) -> int:
         return len(self._nps)
+
+    def copy(self) -> BinaryMechanism:
+        """An independent twin that appends, sums and draws exactly as this
+        counter would from here on."""
+        cls = type(self)
+        twin = cls.__new__(cls)
+        twin.eta = self.eta
+        twin.label = self.label
+        # a generator already drawn from is copied with its state; a factory
+        # has not run, so the twin's first draw builds the same generator
+        rng = self._rng
+        twin._rng = deepcopy(rng) if isinstance(rng, np.random.Generator) else rng
+        twin._nps = self._nps[:]
+        twin._stack = self._stack[:]
+        twin._draws = self._draws[:]
+        return twin
 
     @property
     def noisy_partial_sums(self) -> tuple[float, ...]:

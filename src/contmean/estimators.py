@@ -390,6 +390,16 @@ class CappedSupply:
     def untrack(self, s: CappedSum) -> None:
         self.sums.remove(s)
 
+    def copy(self) -> CappedSupply:
+        """An independent twin; its ``sums`` are new ``CappedSum``s in the
+        same order as these."""
+        cls = type(self)
+        twin = cls.__new__(cls)
+        twin.hist = self.hist[:]
+        twin.max_count = self.max_count
+        twin.sums = [CappedSum(s.cap, s.value) for s in self.sums]
+        return twin
+
 
 # --------------------------------------------------------------------------
 
@@ -504,6 +514,44 @@ class _EstimatorBase:
     def run(self, events) -> list[TraceRecord]:
         return [self.step(ev) for ev in events]
 
+    # -- branching ---------------------------------------------------------
+
+    def copy(self) -> _EstimatorBase:
+        """An independent twin in this estimator's exact state: stepping
+        either one leaves the other as it was, and the twin publishes, stores
+        and draws exactly what this estimator would from here on.
+
+        Mutable state is copied and immutable state (config, privacy table,
+        counter routing, intervals, trace records) shared.  The twin is
+        built without ``__init__``: it copies the budget ledger's entries,
+        so it charges nothing.  Each class copies the attributes its own
+        ``__init__`` sets, one by one and in the same order, never through
+        ``__dict__``: on CPython 3.11 an instance whose ``__dict__`` has been
+        materialised loses the inline attribute layout that ``step``'s
+        specialised attribute loads expect.
+        """
+        cls = type(self)
+        twin = cls.__new__(cls)
+        twin.config = self.config
+        twin.t = self.t
+        twin.total = self.total
+        twin.records = self.records[:]
+        twin.table = self.table
+        twin.budget = self.budget.copy()
+        twin.mechanisms = [mech.copy() for mech in self.mechanisms]
+        twin.counts = dict(self.counts)
+        twin.supply = self.supply.copy()
+        twin._last_t = self._last_t
+        half = self._half_supply
+        twin._half_supply = None if half is None else self._twin_sum(twin, half)
+        twin._diversity_rhs = self._diversity_rhs
+        twin._active = self._active
+        return twin
+
+    def _twin_sum(self, twin: _EstimatorBase, s: CappedSum) -> CappedSum:
+        """``twin``'s copy of the ``CappedSum`` ``s`` that ``supply`` tracks."""
+        return twin.supply.sums[self.supply.sums.index(s)]
+
     def diversity(self) -> DiversityReport:
         cfg = self.config
         return check_diversity(self.counts, cfg.eps, cfg.delta, cfg.m)
@@ -533,6 +581,12 @@ class WishfulEstimator(NaiveEstimator):
         width = _wishful_width(config.m, config.n, config.delta)
         self._interval = TruncationInterval(center=config.m * config.prior, half_width=width, level=0)
         self._block: list[float] = []  # the open batch of the last user
+
+    def copy(self) -> WishfulEstimator:
+        twin = super().copy()
+        twin._interval = self._interval
+        twin._block = self._block[:]
+        return twin
 
     def _admit(self, event: StreamEvent) -> None:
         super()._admit(event)
@@ -581,6 +635,16 @@ class WithholdReleaseEstimator(_EstimatorBase):
         self._sums = [0.0] * len(self.mechanisms)  # each counter's noisy sum
         self._sum: float | None = 0.0  # their fsum, until the next append
 
+    def copy(self) -> WithholdReleaseEstimator:
+        twin = super().copy()
+        twin.ledger = self.ledger.copy()
+        twin.counts = twin.ledger.counts
+        twin._feeds = self._feeds
+        twin._intervals = dict(self._intervals)
+        twin._sums = self._sums[:]
+        twin._sum = self._sum
+        return twin
+
     def _process(self, event: StreamEvent, count: int) -> bool:
         decision = self.ledger.on_sample(event.user, event.value)
         if not decision.released:
@@ -626,14 +690,26 @@ class FullEstimator(WithholdReleaseEstimator):
         # each user's first 2^(L-1) events: the most any level's median reads
         self._history: list[StreamEvent] = []
         self._history_cap = 1 << (len(self.mechanisms) - 2) if self.buffers else 0
-        # per level >= 2: sum_u min(M(u), 2^(level-1)), tracked until the
-        # level activates, and the supply that fills its median's arrays
+        # per inactive level: sum_u min(M(u), 2^(level-1)), tracked until
+        # the level activates, and the supply that fills its median's arrays
         self._gates: dict[int, tuple[CappedSum, int]] = {}
         for lv in levels:
             request = self._median_request(lv)
             supply = self.supply.track(request.array_size)
             self._gates[lv] = (supply, request.arrays_required * request.array_size)
         self._active = (0, 1)
+
+    def copy(self) -> FullEstimator:
+        twin = super().copy()
+        twin.buffers = {lv: vals[:] for lv, vals in self.buffers.items()}
+        twin.priors = dict(self.priors)
+        twin._history = self._history[:]
+        twin._history_cap = self._history_cap
+        twin._gates = {
+            lv: (self._twin_sum(twin, capped), threshold)
+            for lv, (capped, threshold) in self._gates.items()
+        }
+        return twin
 
     @property
     def inactive(self) -> set[int]:
@@ -656,7 +732,7 @@ class FullEstimator(WithholdReleaseEstimator):
         self._intervals[level] = interval_full(prior, level, cfg.n, cfg.m, cfg.eps, cfg.delta)
         for raw in self.buffers.pop(level):
             self._release(level, raw, 1 << (level - 1))
-        self.supply.untrack(self._gates[level][0])
+        self.supply.untrack(self._gates.pop(level)[0])
         self._active = tuple(lv for lv in range(len(self.mechanisms)) if lv not in self.buffers)
         if not self.buffers:
             self._history = []

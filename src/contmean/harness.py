@@ -6,17 +6,19 @@ and reduces per-checkpoint absolute errors to median/quantile summaries.
 replays an estimator noiselessly on a stream and on user-level neighbors of
 it (one user's values replaced adversarially over the {0,1} grid) and
 compares the realized change in the stored partial sums against the bound
-that calibrates the Laplace noise.
+that calibrates the Laplace noise.  The neighbors are replayed along their
+shared prefixes: a replay branches into an estimator ``copy()`` at each of
+the changed user's samples, so an event is stepped once per branch it lies
+on, not once per neighbor.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -247,29 +249,6 @@ def _check_layout(widths: list[int], other: list[int], count: int) -> None:
         raise AssertionError("partial-sum layout changed between neighbor runs")
 
 
-def _collect_nps(
-    config: EstimatorConfig, streams: Iterable[Sequence[StreamEvent]]
-) -> list[np.ndarray]:
-    """Replay each stream noiselessly through ``step``; per counter, one
-    (streams, entries) float64 array of its stored partial sums."""
-    flat: list[array] = []
-    widths: list[int] = []
-    rows = 0
-    for events in streams:
-        est = make_estimator(config)
-        for ev in events:
-            est.step(ev)
-        sums = [mech.noisy_partial_sums for mech in est.mechanisms]
-        if not rows:
-            widths = [len(s) for s in sums]
-            flat = [array("d") for _ in sums]
-        _check_layout(widths, [len(s) for s in sums], len(widths))
-        for acc, s in zip(flat, sums):
-            acc.extend(s)
-        rows += 1
-    return [np.frombuffer(acc, dtype=np.float64).reshape(rows, w) for acc, w in zip(flat, widths)]
-
-
 def _per_mechanism_bounds(config: EstimatorConfig) -> list[tuple[str, float, float]]:
     """(label, entry_count_bound, l1_bound) per mechanism, from its privacy-table row."""
     table = privacy_table(config)
@@ -279,22 +258,52 @@ def _per_mechanism_bounds(config: EstimatorConfig) -> list[tuple[str, float, flo
 def _value_grid_runs(
     config: EstimatorConfig, events: list[StreamEvent], positions: list[int]
 ) -> list[np.ndarray]:
-    """Per counter, the partial sums of every {0,1} assignment of the given
-    positions, one row per assignment mask."""
+    """Replay ``events`` noiselessly through ``step`` under every {0,1}
+    assignment of the given positions; per counter, one (assignments,
+    entries) float64 array of its stored partial sums, row ``mask`` for the
+    assignment that sets position j to bit j of ``mask``.
+
+    Assignments that agree on the first j positions share their state up
+    to position j + 1, so the replays walk a binary tree depth first: the
+    events before the next position are stepped once per node, and at the
+    position the estimator branches into a ``copy()`` that takes 1.0 while
+    the original takes 0.0.  An event is stepped 2^c times, c the number of
+    positions at or before it, not 2^len(positions) times.
+    """
     if len(positions) > _GRID_LIMIT:
         raise ValueError(
             f"value grid over {len(positions)} samples is too large to enumerate"
         )
+    k = len(positions)
+    bounds = [*positions, len(events)]
+    rows: list[np.ndarray] = []
+    widths: list[int] = []
 
-    def variants():
-        for mask in range(1 << len(positions)):
-            variant = list(events)
-            for bit, pos in enumerate(positions):
-                ev = variant[pos]
-                variant[pos] = StreamEvent(t=ev.t, user=ev.user, value=float((mask >> bit) & 1))
-            yield variant
+    def leaf(est, mask: int) -> None:
+        sums = [mech.noisy_partial_sums for mech in est.mechanisms]
+        if not rows:
+            widths.extend(len(s) for s in sums)
+            rows.extend(np.empty((1 << k, w)) for w in widths)
+        _check_layout(widths, [len(s) for s in sums], len(widths))
+        for acc, s in zip(rows, sums):
+            acc[mask] = s
 
-    return _collect_nps(config, variants())
+    def walk(est, depth: int, start: int, mask: int) -> None:
+        stop = bounds[depth]
+        for ev in events[start:stop]:
+            est.step(ev)
+        if depth == k:
+            leaf(est, mask)
+            return
+        ev = events[stop]
+        twin = est.copy()
+        est.step(StreamEvent(t=ev.t, user=ev.user, value=0.0))
+        walk(est, depth + 1, stop + 1, mask)
+        twin.step(StreamEvent(t=ev.t, user=ev.user, value=1.0))
+        walk(twin, depth + 1, stop + 1, mask | (1 << depth))
+
+    walk(make_estimator(config), 0, 0, 0)
+    return rows
 
 
 def _diff_report(
@@ -377,8 +386,9 @@ def audit_sensitivity(
         raise ValueError(f"changed_user {changed_user} outside [1, {config.n}]")
     events = list(base_stream)
     positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
-    base = _collect_nps(config, [events])
+    # the grid runs first: it refuses an oversized grid before any replay
     variants = _value_grid_runs(config, events, positions)
+    base = _value_grid_runs(config, events, [])
     return _diff_report(config, changed_user, base, variants, upper=False)
 
 

@@ -56,6 +56,14 @@ class UserLedger:
         block.append(value)
         return ReleaseDecision(True, level, math.fsum(block), 1 << max(level - 1, 0))
 
+    def copy(self) -> UserLedger:
+        """An independent ledger with the same counts and withheld values."""
+        cls = type(self)
+        twin = cls.__new__(cls)
+        twin.counts = dict(self.counts)
+        twin.pending = {user: block[:] for user, block in self.pending.items()}
+        return twin
+
     def released_info_count(self) -> int:
         """Number of samples whose information has been released so far."""
         return self.samples_seen() - self.pending_count()

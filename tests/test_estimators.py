@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contmean.estimators import (
@@ -374,6 +374,90 @@ class TestFullHistory:
         est = make_estimator(noiseless_config("full", n=2, m=2, eps=1.0, delta=0.1))
         est.run(events_of([1, 2, 1], [1.0, 0.0, 1.0]))
         assert est._history == []
+
+
+class TestFullGates:
+    """``full`` tracks one capped sum per inactive level, and only those."""
+
+    @pytest.mark.parametrize("ordering", ["uniform_random", "single_user_prefix", "round_robin"])
+    def test_gates_are_the_buffered_levels(self, ordering):
+        n, m = 300, 16
+        events = generate(0.5, n, m, 200, OrderingSpec(ordering), seed=1)
+        est = make_estimator(EstimatorConfig(algorithm="full", n=n, m=m, eps=50.0, delta=0.5, seed=1))
+        for ev in events:
+            est.step(ev)
+            assert est._gates.keys() == est.buffers.keys()
+            for capped, _ in est._gates.values():
+                assert any(capped is s for s in est.supply.sums)
+                assert capped.value == est.supply.capped_sum(capped.cap)
+        assert sorted(est.priors) == [2, 3, 4] and not est._gates
+
+
+def estimator_state(est) -> str:
+    """Everything ``step`` changes, exact to the last bit of every float."""
+    return repr((
+        est.t, est.total, est.records, est.counts, est.budget.entries, est.active_levels(),
+        [(mech.noisy_partial_sums, mech.sum()) for mech in est.mechanisms],
+        est.supply.hist, [(s.cap, s.value) for s in est.supply.sums],
+        getattr(est, "ledger", None) and est.ledger.pending, getattr(est, "_intervals", None),
+        getattr(est, "priors", None), getattr(est, "buffers", None), getattr(est, "_history", None),
+    ))
+
+
+@st.composite
+def copy_cases(draw):
+    """(config, events, cut): any algorithm, noise on or off, any cut."""
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    n, m, events = draw(capped_streams(contiguous=algorithm == "wishful"))
+    config = any_config(
+        algorithm, n=n, m=m, T=len(events), eps=draw(st.sampled_from([1.0, 50.0, 3000.0])),
+        delta=0.1, seed=draw(st.integers(0, 3)), noise_override=draw(st.sampled_from([None, 0.0])),
+    )
+    return config, events, draw(st.integers(0, len(events)))
+
+
+def _full_copy_case(ordering, length, cut, noise):
+    # levels 2, 3 and 4 activate at t = 20, 44 and 96 under round robin and
+    # uniform random, and at t = 146, 164 and 184 after a single-user
+    # prefix, which leaves blocks buffered before them
+    n, m = 300, 16
+    config = EstimatorConfig(
+        algorithm="full", n=n, m=m, eps=50.0, delta=0.5, seed=1, noise_override=None if noise else 0.0
+    )
+    return config, generate(0.5, n, m, length, OrderingSpec(ordering), seed=1), cut
+
+
+class TestCopy:
+    """A ``copy()`` branches an estimator: twin and original go on exactly
+    as one uninterrupted run, and neither sees the other's steps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(copy_cases())
+    @example(_full_copy_case("round_robin", 120, 10, noise=True))  # every level activates after the cut
+    @example(_full_copy_case("uniform_random", 120, 30, noise=True))  # between activations
+    @example(_full_copy_case("uniform_random", 120, 60, noise=False))
+    @example(_full_copy_case("single_user_prefix", 200, 100, noise=True))  # buffers and history held
+    @example(_full_copy_case("single_user_prefix", 200, 150, noise=True))
+    @example(_full_copy_case("single_user_prefix", 200, 170, noise=False))
+    def test_twin_continues_as_one_run(self, case):
+        config, events, cut = case
+        whole = make_estimator(config)
+        whole.run(events)
+        est = make_estimator(config)
+        est.run(events[:cut])
+        at_cut = estimator_state(est)
+        twin = est.copy()
+        # an attribute that copy() misses shows here
+        assert list(vars(twin)) == list(vars(est))
+        for a, b in zip(twin.mechanisms, est.mechanisms):
+            assert list(vars(a)) == list(vars(b))
+        assert estimator_state(twin) == at_cut
+        twin.run(events[cut:])
+        assert estimator_state(est) == at_cut
+        assert estimator_state(twin) == estimator_state(whole)
+        est.run(events[cut:])
+        assert estimator_state(est) == estimator_state(whole)
+        assert estimator_state(twin) == estimator_state(whole)
 
 
 class TestAccountingInvariant:

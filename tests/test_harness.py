@@ -1,13 +1,16 @@
 """Experiment runner, sweeps, sensitivity audits, CLI."""
 
+import itertools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contmean import estimators, harness
 from contmean.cli import main
 from contmean.estimators import (
     EstimatorConfig,
@@ -273,6 +276,68 @@ class TestAuditOracle:
         # 2^12 replays and 8.4 M pairs, the most an audit attempts: the two
         # index arrays of every pair at once would take 128 MiB
         self.assert_grid_fits([2, 1, 2, 3] * 6, 12)
+
+
+class TestAuditReplays:
+    """Neighbor replays share their prefixes, and an oversized grid is
+    refused before any replay."""
+
+    def test_thirteen_samples_refused_before_any_replay(self, monkeypatch):
+        config = EstimatorConfig(algorithm="multi", n=3, m=16, eps=1.0, delta=0.1, prior=0.5)
+        users = [2, 1, 2, 3] * 6 + [2]
+        assert users.count(2) == 13
+        built = []
+        monkeypatch.setattr(harness, "make_estimator", lambda cfg: built.append(cfg))
+        with pytest.raises(ValueError, match="too large"):
+            audit_value_grid(config, users, changed_user=2)
+        with pytest.raises(ValueError, match="too large"):
+            audit_sensitivity(config, flip_stream(users, [0.5] * len(users)), changed_user=2)
+        assert built == []
+
+    @pytest.mark.parametrize("algorithm", ["naive", "single", "multi", "full"])
+    def test_row_mask_is_the_assignment(self, algorithm):
+        # row ``mask`` holds the replay that gives the changed user's j-th
+        # sample bit j of ``mask``, replayed here from t = 1
+        config, events, changed = _case(algorithm, [2, 1, 2, 3, 1, 2, 2, 3, 1], 2, m=8)
+        config = harness._audit_config(config)
+        positions = [i for i, ev in enumerate(events) if ev.user == changed]
+        rows = harness._value_grid_runs(config, events, positions)
+        for mask in range(1 << len(positions)):
+            variant = list(events)
+            for bit, pos in enumerate(positions):
+                variant[pos] = variant[pos]._replace(value=float((mask >> bit) & 1))
+            est = make_estimator(config)
+            est.run(variant)
+            for row, mech in zip(rows, est.mechanisms, strict=True):
+                assert row[mask].tolist() == list(mech.noisy_partial_sums)
+
+    def test_steps_follow_the_shared_prefixes(self, monkeypatch):
+        # an event after c of the changed user's samples (its own included)
+        # is stepped once per branch so far, 2^c times; every replay from
+        # t = 1 would step each of the 6 events 2^k times
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import audit_grid
+
+        steps = 0
+        step = estimators._EstimatorBase.step
+
+        def counted(est, event):
+            nonlocal steps
+            steps += 1
+            return step(est, event)
+
+        monkeypatch.setattr(estimators._EstimatorBase, "step", counted)
+        pairs = audit_grid.grid_orderings(3)
+        assert len(pairs) == 690
+        config = audit_grid.config_for("full", 3, 4, 6)
+        every_replay = 0
+        for users, changed in pairs:
+            before = steps
+            audit_value_grid(config, users, changed)
+            c = list(itertools.accumulate(u == changed for u in users))
+            assert steps - before == sum(1 << ci for ci in c)
+            every_replay += (1 << c[-1]) * len(users)
+        assert (steps, every_replay) == (12_548, 22_074)
 
 
 class TestCli:
