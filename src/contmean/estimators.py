@@ -437,6 +437,7 @@ class _EstimatorBase:
             )
             for i, row in enumerate(counters)
         ]
+        self._sum = 0.0  # the counters' noisy total, set after every append
         self.counts: dict[int, int] = {}
         self.supply = CappedSupply(config.n, config.m)
         self._last_t = 0
@@ -457,9 +458,6 @@ class _EstimatorBase:
         it: count it in ``counts``, update mechanisms and ``total``; return
         whether a block was clipped."""
         raise NotImplementedError
-
-    def _noisy_sum(self) -> float:
-        return self.mechanisms[0].sum()
 
     def active_levels(self) -> tuple[int, ...] | None:
         return self._active
@@ -488,7 +486,7 @@ class _EstimatorBase:
         flags = ("clip",) if self._process(event, count) else ()
 
         if self.total:
-            estimate = self._noisy_sum() / self.total
+            estimate = self._sum / self.total
             if not 0.0 <= estimate <= 1.0:
                 flags += ("oob",)
         else:
@@ -539,6 +537,7 @@ class _EstimatorBase:
         twin.table = self.table
         twin.budget = self.budget.copy()
         twin.mechanisms = [mech.copy() for mech in self.mechanisms]
+        twin._sum = self._sum
         twin.counts = dict(self.counts)
         twin.supply = self.supply.copy()
         twin._last_t = self._last_t
@@ -566,7 +565,9 @@ class NaiveEstimator(_EstimatorBase):
 
     def _process(self, event: StreamEvent, count: int) -> bool:
         self.counts[event.user] = count + 1
-        self.mechanisms[0].append(event.value)
+        mech = self.mechanisms[0]
+        mech.append(event.value)
+        self._sum = mech.sum()
         self.total = self.t
         return False
 
@@ -606,7 +607,9 @@ class WishfulEstimator(NaiveEstimator):
             return False
         raw = math.fsum(self._block)
         sigma = raw if self.config.clip_disabled else project(self._interval, raw, m)
-        self.mechanisms[0].append(sigma)
+        mech = self.mechanisms[0]
+        mech.append(sigma)
+        self._sum = mech.sum()
         self.total += m
         self._block = []
         return sigma != raw
@@ -616,13 +619,12 @@ class WithholdReleaseEstimator(_EstimatorBase):
     """The withhold-release schedule: ``single`` and ``multi``, and the
     base of ``full``.
 
-    Each released block is projected onto its level's interval from level
-    ``_first_clipped`` up, then fed to counter 0 when the privacy table has
-    one counter, else to its level's counter.  Intervals are centred on the
-    supplied prior on first use; ``full`` sets them when a level activates.
+    Each released block is projected onto its level's interval, if the level
+    has one, then fed to counter 0 when the privacy table has one counter,
+    else to its level's counter.  With a supplied prior, levels 1 and up get
+    intervals centred on it at construction; ``full`` sets a level's when it
+    activates.  ``clip_disabled`` leaves every level without one.
     """
-
-    _first_clipped = 1
 
     def __init__(self, config: EstimatorConfig):
         super().__init__(config)
@@ -631,18 +633,20 @@ class WithholdReleaseEstimator(_EstimatorBase):
         levels = math.ceil(math.log2(config.m)) + 1
         # counter index fed by each release level
         self._feeds = [0] * levels if len(self.mechanisms) == 1 else list(range(levels))
-        self._intervals: dict[int, TruncationInterval] = {}
+        clipped = config.prior is not None and not config.clip_disabled
+        self._intervals: list[TruncationInterval | None] = [
+            interval_single(config.prior, lv, config.m, config.n, config.delta) if clipped and lv else None
+            for lv in range(levels)
+        ]
         self._sums = [0.0] * len(self.mechanisms)  # each counter's noisy sum
-        self._sum: float | None = 0.0  # their fsum, until the next append
 
     def copy(self) -> WithholdReleaseEstimator:
         twin = super().copy()
         twin.ledger = self.ledger.copy()
         twin.counts = twin.ledger.counts
         twin._feeds = self._feeds
-        twin._intervals = dict(self._intervals)
+        twin._intervals = self._intervals[:]
         twin._sums = self._sums[:]
-        twin._sum = self._sum
         return twin
 
     def _process(self, event: StreamEvent, count: int) -> bool:
@@ -653,33 +657,21 @@ class WithholdReleaseEstimator(_EstimatorBase):
 
     def _release(self, level: int, block_sum: float, block_size: int) -> bool:
         """Feed one block to its level's counter; return whether it was clipped."""
-        sigma = block_sum
-        if level >= self._first_clipped and not self.config.clip_disabled:
-            interval = self._intervals.get(level)
-            if interval is None:
-                cfg = self.config
-                interval = interval_single(cfg.prior, level, cfg.m, cfg.n, cfg.delta)
-                self._intervals[level] = interval
-            sigma = project(interval, block_sum, block_size)
+        interval = self._intervals[level]
+        sigma = block_sum if interval is None else project(interval, block_sum, block_size)
         i = self._feeds[level]
         mech = self.mechanisms[i]
         mech.append(sigma)
-        self._sums[i] = mech.sum()
+        sums = self._sums
+        sums[i] = mech.sum()
+        self._sum = math.fsum(sums)
         self.total += block_size
-        self._sum = None
         return sigma != block_sum
-
-    def _noisy_sum(self) -> float:
-        if self._sum is None:
-            self._sum = math.fsum(self._sums)
-        return self._sum
 
 
 class FullEstimator(WithholdReleaseEstimator):
     """No prior needed: levels >= 2 buffer their blocks until enough
     distinct users justify a private-median prior, then flush."""
-
-    _first_clipped = 2
 
     def __init__(self, config: EstimatorConfig):
         super().__init__(config)
@@ -690,13 +682,13 @@ class FullEstimator(WithholdReleaseEstimator):
         # each user's first 2^(L-1) events: the most any level's median reads
         self._history: list[StreamEvent] = []
         self._history_cap = 1 << (len(self.mechanisms) - 2) if self.buffers else 0
-        # per inactive level: sum_u min(M(u), 2^(level-1)), tracked until
-        # the level activates, and the supply that fills its median's arrays
-        self._gates: dict[int, tuple[CappedSum, int]] = {}
-        for lv in levels:
-            request = self._median_request(lv)
-            supply = self.supply.track(request.array_size)
-            self._gates[lv] = (supply, request.arrays_required * request.array_size)
+        # per level: its median's array size and the supply that fills its
+        # arrays, sum_u min(M(u), array size) >= arrays * array size
+        requests = [self._median_request(lv) for lv in levels]
+        self._needs = {r.level: (r.array_size, r.arrays_required * r.array_size) for r in requests}
+        # that sum at the lowest inactive level, tracked until the last
+        # activation
+        self._gate = self.supply.track(self._needs[2][0]) if self.buffers else None
         self._active = (0, 1)
 
     def copy(self) -> FullEstimator:
@@ -705,10 +697,8 @@ class FullEstimator(WithholdReleaseEstimator):
         twin.priors = dict(self.priors)
         twin._history = self._history[:]
         twin._history_cap = self._history_cap
-        twin._gates = {
-            lv: (self._twin_sum(twin, capped), threshold)
-            for lv, (capped, threshold) in self._gates.items()
-        }
+        twin._needs = self._needs
+        twin._gate = None if self._gate is None else self._twin_sum(twin, self._gate)
         return twin
 
     @property
@@ -729,12 +719,18 @@ class FullEstimator(WithholdReleaseEstimator):
         else:
             prior = private_median(self._median_request(level), spawn_rng(cfg.seed, 2, level))
         self.priors[level] = prior
-        self._intervals[level] = interval_full(prior, level, cfg.n, cfg.m, cfg.eps, cfg.delta)
+        if not cfg.clip_disabled:
+            self._intervals[level] = interval_full(prior, level, cfg.n, cfg.m, cfg.eps, cfg.delta)
         for raw in self.buffers.pop(level):
             self._release(level, raw, 1 << (level - 1))
-        self.supply.untrack(self._gates.pop(level)[0])
-        self._active = tuple(lv for lv in range(len(self.mechanisms)) if lv not in self.buffers)
-        if not self.buffers:
+        self._active += (level,)
+        gate = self._gate
+        if self.buffers:
+            gate.cap = self._needs[next(iter(self.buffers))][0]
+            gate.value = self.supply.capped_sum(gate.cap)
+        else:
+            self.supply.untrack(gate)
+            self._gate = None
             self._history = []
             self._history_cap = 0
 
@@ -746,12 +742,11 @@ class FullEstimator(WithholdReleaseEstimator):
         # release is routed.  Levels activate in ascending order: level l+1's
         # capped sum is at most twice level l's, and its threshold (arrays
         # twice as long, and no fewer) at least twice level l's, so only the
-        # lowest inactive level can be next.
+        # lowest inactive level, the one ``_gate`` tracks, can be next.
         buffers = self.buffers
         while buffers:
             level = next(iter(buffers))
-            capped, threshold = self._gates[level]
-            if capped.value < threshold:
+            if self._gate.value < self._needs[level][1]:
                 break
             self._activate(level)
         decision = self.ledger.on_sample(event.user, event.value)

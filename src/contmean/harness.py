@@ -335,12 +335,14 @@ def _diff_report(
     # the indices and differences held at once stay bounded however many
     # pairs a grid has
     block = max(1, _BLOCK_ENTRIES // max([1, *widths]))
+    # a counter that holds no entries moves none, so its row stays at zero
+    counters = [(i, a, b) for i, (a, b) in enumerate(zip(left, right)) if a.shape[1]]
     for start in range(0, n_pairs, block):
         p = np.arange(start, min(start + block, n_pairs))
         lb = np.searchsorted(offsets, p, side="right") - 1
         rb = p - offsets[lb] + firsts[lb]
         total = 0.0
-        for i, (a, b) in enumerate(zip(left, right)):
+        for i, a, b in counters:
             diff = a[lb]
             diff -= b[rb]
             np.abs(diff, out=diff)

@@ -321,6 +321,22 @@ class TestFull:
             assert est.inactive == inactive
             assert rec.active_levels == tuple(lv for lv in range(math.ceil(LOG2(m)) + 1) if lv not in inactive)
 
+    @pytest.mark.parametrize("clip_disabled", [False, True])
+    def test_clip_disabled_after_activation(self, clip_disabled):
+        # one user's 64 unit samples activate every level; prior 0 centres
+        # level 6's interval (half-width about 23) below its block sum of 32
+        cfg = noiseless_config(
+            "full", n=2, m=64, eps=1000.0, delta=1.0, prior_override=0.0, clip_disabled=clip_disabled
+        )
+        est = make_estimator(cfg)
+        records = est.run(events_of([1] * 64, [1.0] * 64))
+        assert est.active_levels() == (0, 1, 2, 3, 4, 5, 6)
+        clipped = [r.t for r in records if "clip" in r.flags]
+        if clip_disabled:
+            assert not clipped and all(r.estimate == 1.0 for r in records)
+        else:
+            assert clipped and records[-1].estimate < 1.0
+
     def test_buffered_samples_excluded_from_total(self):
         cfg = noiseless_config("full", n=4, m=1024, eps=1.0, delta=0.1)
         est = make_estimator(cfg)
@@ -377,7 +393,8 @@ class TestFullHistory:
 
 
 class TestFullGates:
-    """``full`` tracks one capped sum per inactive level, and only those."""
+    """``full`` tracks one capped sum, at the lowest inactive level, and
+    none once every level is active."""
 
     @pytest.mark.parametrize("ordering", ["uniform_random", "single_user_prefix", "round_robin"])
     def test_gates_are_the_buffered_levels(self, ordering):
@@ -386,11 +403,14 @@ class TestFullGates:
         est = make_estimator(EstimatorConfig(algorithm="full", n=n, m=m, eps=50.0, delta=0.5, seed=1))
         for ev in events:
             est.step(ev)
-            assert est._gates.keys() == est.buffers.keys()
-            for capped, _ in est._gates.values():
-                assert any(capped is s for s in est.supply.sums)
-                assert capped.value == est.supply.capped_sum(capped.cap)
-        assert sorted(est.priors) == [2, 3, 4] and not est._gates
+            gate = est._gate
+            assert (gate is not None) == bool(est.buffers)
+            if gate is not None:
+                assert gate.cap == 1 << (min(est.buffers) - 1)  # that level's median array size
+                assert any(gate is s for s in est.supply.sums)
+                assert gate.value == est.supply.capped_sum(gate.cap)
+            assert len(est.supply.sums) == est.config.track_diversity + (gate is not None)
+        assert sorted(est.priors) == [2, 3, 4] and est._gate is None
 
 
 def estimator_state(est) -> str:
