@@ -371,7 +371,7 @@ class CappedSupply:
         hist[count + 1] += 1
         for s in self.sums:
             if count < s.cap:
-                s.value += min(count + 1, s.cap) - count
+                s.value += 1 if count + 1 <= s.cap else s.cap - count
         if count < self.max_count:
             return False
         self.max_count = count + 1
@@ -446,12 +446,9 @@ class _EstimatorBase:
         self._half_supply = self.supply.track(0.0) if config.track_diversity else None
         self._diversity_rhs = math.inf
         self._active: tuple[int, ...] | None = None  # set by estimators that hold levels back
+        self._max_t = math.inf  # the longest stream accepted: T for naive and wishful
 
     # -- subclass hooks ----------------------------------------------------
-
-    def _admit(self, event: StreamEvent) -> None:
-        """Raise if this estimator cannot take ``event``; runs before any
-        state changes."""
 
     def _process(self, event: StreamEvent, count: int) -> bool:
         """Consume one event of a user that held ``count`` samples before
@@ -464,7 +461,9 @@ class _EstimatorBase:
 
     # -- common loop -------------------------------------------------------
 
-    def step(self, event: StreamEvent) -> TraceRecord:
+    def _refuse(self, event: StreamEvent) -> None:
+        """Raise the first ``ValueError`` that applies to ``event``, in the
+        order ``step`` checks them; return if none does."""
         cfg = self.config
         user = event.user
         if not 1 <= user <= cfg.n:
@@ -474,10 +473,25 @@ class _EstimatorBase:
             raise ValueError(f"sample value {event.value!r} outside [0, 1]")
         if event.t <= self._last_t:
             raise ValueError(f"t={event.t} does not increase past {self._last_t}")
-        count = self.counts.get(user, 0)
-        if count >= cfg.m:
+        if self.counts.get(user, 0) >= cfg.m:
             raise ValueError(f"user {user} exceeds the per-user cap m={cfg.m}")
-        self._admit(event)
+        if self.t >= self._max_t:
+            raise ValueError(f"stream longer than configured T={cfg.T}")
+
+    def step(self, event: StreamEvent) -> TraceRecord:
+        cfg = self.config
+        user = event.user
+        count = self.counts.get(user, 0)
+        # every check of ``_refuse`` in one test, so a rejected event
+        # changes no state
+        if not (
+            1 <= user <= cfg.n
+            and 0.0 <= event.value <= 1.0
+            and event.t > self._last_t
+            and count < cfg.m
+            and self.t < self._max_t
+        ):
+            self._refuse(event)
         self.t += 1
         self._last_t = event.t
         supply = self.supply
@@ -545,6 +559,7 @@ class _EstimatorBase:
         twin._half_supply = None if half is None else self._twin_sum(twin, half)
         twin._diversity_rhs = self._diversity_rhs
         twin._active = self._active
+        twin._max_t = self._max_t
         return twin
 
     def _twin_sum(self, twin: _EstimatorBase, s: CappedSum) -> CappedSum:
@@ -559,9 +574,9 @@ class _EstimatorBase:
 class NaiveEstimator(_EstimatorBase):
     """Every sample goes straight into one counter; estimate is sum/t."""
 
-    def _admit(self, event: StreamEvent) -> None:
-        if self.t >= self.config.T:
-            raise ValueError(f"stream longer than configured T={self.config.T}")
+    def __init__(self, config: EstimatorConfig):
+        super().__init__(config)
+        self._max_t = config.T
 
     def _process(self, event: StreamEvent, count: int) -> bool:
         self.counts[event.user] = count + 1
@@ -589,15 +604,16 @@ class WishfulEstimator(NaiveEstimator):
         twin._block = self._block[:]
         return twin
 
-    def _admit(self, event: StreamEvent) -> None:
-        super()._admit(event)
+    def step(self, event: StreamEvent) -> TraceRecord:
         # while a batch is open only its user may arrive; a returning user
         # that already gave all m samples fails the per-user cap first
         if self._block and event.user not in self.counts:
+            self._refuse(event)
             raise OrderingError(
                 f"user {event.user} at t={self.t + 1} breaks the user-contiguous arrival "
                 "this estimator requires"
             )
+        return super().step(event)
 
     def _process(self, event: StreamEvent, count: int) -> bool:
         self.counts[event.user] = count + 1
@@ -650,10 +666,10 @@ class WithholdReleaseEstimator(_EstimatorBase):
         return twin
 
     def _process(self, event: StreamEvent, count: int) -> bool:
-        decision = self.ledger.on_sample(event.user, event.value)
-        if not decision.released:
+        released = self.ledger.record(event.user, event.value, count)
+        if released is None:
             return False
-        return self._release(decision.level, decision.block_sum, decision.block_size)
+        return self._release(*released)
 
     def _release(self, level: int, block_sum: float, block_size: int) -> bool:
         """Feed one block to its level's counter; return whether it was clipped."""
@@ -687,8 +703,9 @@ class FullEstimator(WithholdReleaseEstimator):
         requests = [self._median_request(lv) for lv in levels]
         self._needs = {r.level: (r.array_size, r.arrays_required * r.array_size) for r in requests}
         # that sum at the lowest inactive level, tracked until the last
-        # activation
+        # activation, and that level's threshold
         self._gate = self.supply.track(self._needs[2][0]) if self.buffers else None
+        self._need = self._needs[2][1] if self.buffers else math.inf
         self._active = (0, 1)
 
     def copy(self) -> FullEstimator:
@@ -699,6 +716,7 @@ class FullEstimator(WithholdReleaseEstimator):
         twin._history_cap = self._history_cap
         twin._needs = self._needs
         twin._gate = None if self._gate is None else self._twin_sum(twin, self._gate)
+        twin._need = self._need
         return twin
 
     @property
@@ -726,11 +744,12 @@ class FullEstimator(WithholdReleaseEstimator):
         self._active += (level,)
         gate = self._gate
         if self.buffers:
-            gate.cap = self._needs[next(iter(self.buffers))][0]
+            gate.cap, self._need = self._needs[next(iter(self.buffers))]
             gate.value = self.supply.capped_sum(gate.cap)
         else:
             self.supply.untrack(gate)
             self._gate = None
+            self._need = math.inf
             self._history = []
             self._history_cap = 0
 
@@ -742,21 +761,21 @@ class FullEstimator(WithholdReleaseEstimator):
         # release is routed.  Levels activate in ascending order: level l+1's
         # capped sum is at most twice level l's, and its threshold (arrays
         # twice as long, and no fewer) at least twice level l's, so only the
-        # lowest inactive level, the one ``_gate`` tracks, can be next.
-        buffers = self.buffers
-        while buffers:
-            level = next(iter(buffers))
-            if self._gate.value < self._needs[level][1]:
-                break
-            self._activate(level)
-        decision = self.ledger.on_sample(event.user, event.value)
-        if not decision.released:
+        # lowest inactive level, the one ``_gate`` tracks against ``_need``,
+        # can be next.
+        gate = self._gate
+        while gate is not None and gate.value >= self._need:
+            self._activate(next(iter(self.buffers)))
+            gate = self._gate
+        released = self.ledger.record(event.user, event.value, count)
+        if released is None:
             return False
-        buffer = self.buffers.get(decision.level)
+        level, block_sum, block_size = released
+        buffer = self.buffers.get(level)
         if buffer is not None:
-            buffer.append(decision.block_sum)
+            buffer.append(block_sum)
             return False
-        return self._release(decision.level, decision.block_sum, decision.block_size)
+        return self._release(level, block_sum, block_size)
 
 
 _CLASSES = {

@@ -132,8 +132,12 @@ def _pack(request: MedianRequest) -> np.ndarray:
     users = np.fromiter(map(operator.itemgetter(1), history), dtype=np.int64, count=h)
     values = np.fromiter(map(operator.itemgetter(2), history), dtype=np.float64, count=h)
 
-    # ascending user, each user's events in arrival order
-    order = np.argsort(users, kind="stable")
+    # ascending user, each user's events in arrival order.  The stable sort
+    # runs on ids - min(ids) (exact in uint64 for any int64 ids) cast to the
+    # narrowest unsigned type that holds them: numpy radix-sorts 8- and
+    # 16-bit keys, several times faster than a merge sort over int64.
+    keys = (users - (users.min() if h else 0)).view(np.uint64)
+    order = np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
     users = users[order]
     # each event's rank among its user's events: its index minus the index
     # where its user's run starts

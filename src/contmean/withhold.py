@@ -45,16 +45,33 @@ class UserLedger:
         """Record one sample; release iff the user's count becomes 2^level."""
         if not math.isfinite(value):
             raise ValueError(f"sample value must be finite, got {value}")
-        count = self.counts.get(user_id, 0) + 1
+        released = self.record(user_id, value, self.counts.get(user_id, 0))
+        return _WITHHOLD if released is None else ReleaseDecision(True, *released)
+
+    def record(self, user_id: int, value: float, count: int) -> tuple[int, float, int] | None:
+        """Record a finite sample of a user that held ``count`` samples
+        before it; return ``(level, block_sum, block_size)`` when the new
+        count is 2^level, else None.
+
+        ``count`` must equal ``counts.get(user_id, 0)``: the caller has read
+        it, so this reads no count and checks no value.
+        """
+        count += 1
         self.counts[user_id] = count
         if count & (count - 1):  # not a power of two: withhold
-            self.pending.setdefault(user_id, []).append(value)
-            return _WITHHOLD
-        level = count.bit_length() - 1
-        # levels 0 and 1 find nothing withheld: the block is this sample
-        block = self.pending.pop(user_id, [])
+            block = self.pending.get(user_id)
+            if block is None:
+                self.pending[user_id] = [value]
+            else:
+                block.append(value)
+            return None
+        if count < 4:
+            # levels 0 and 1 find nothing withheld: the block is this
+            # sample, summed as fsum sums one value (a float, zero unsigned)
+            return count - 1, float(value) + 0.0, 1
+        block = self.pending.pop(user_id)
         block.append(value)
-        return ReleaseDecision(True, level, math.fsum(block), 1 << max(level - 1, 0))
+        return count.bit_length() - 1, math.fsum(block), count >> 1
 
     def copy(self) -> UserLedger:
         """An independent ledger with the same counts and withheld values."""

@@ -407,6 +407,7 @@ class TestFullGates:
             assert (gate is not None) == bool(est.buffers)
             if gate is not None:
                 assert gate.cap == 1 << (min(est.buffers) - 1)  # that level's median array size
+                assert est._need == est._needs[min(est.buffers)][1]  # and its threshold
                 assert any(gate is s for s in est.supply.sums)
                 assert gate.value == est.supply.capped_sum(gate.cap)
             assert len(est.supply.sums) == est.config.track_diversity + (gate is not None)

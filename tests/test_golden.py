@@ -6,19 +6,24 @@ each counter's label and noise scale, and ``full``'s private-median priors.
 A refactor that claims bit-identical outputs must leave every digest as it
 is.  Setting ``dense`` activates every ``full`` level with real
 private-median priors; setting ``odd`` uses an m that is not a power of two
-and a prior far from the stream mean, so blocks are clipped.
+and a prior far from the stream mean, so blocks are clipped.  Setting
+``skewed`` (``full`` only) steps 2,000 users arriving with Zipf-like
+weights: levels 2 to 5 activate through private medians over the kept
+history, which is trimmed after the last one.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from contmean.estimators import ALGORITHMS, EstimatorConfig, make_estimator
-from contmean.streams import OrderingSpec, generate
+from contmean.streams import OrderingSpec, StreamEvent, generate
 
 SETTINGS = {
     "dense": dict(n=30, m=16, T=300, eps=300.0, delta=0.1, mu=0.5),
     "odd": dict(n=9, m=100, T=400, eps=2.0, delta=0.05, mu=0.9),
+    "skewed": dict(n=2000, m=32, T=6000, eps=8.0, delta=0.1, mu=0.9),
 }
 SEEDS = (3, 11)
 
@@ -44,13 +49,36 @@ GOLDEN = {
     ('full', 'dense', 11): 'adeaed0194dcaa1ad04285e781e5cb2a9ce0fed20e65d92568656783435e913f',
     ('full', 'odd', 3): '3bdb38d2b491f00a5ba2679f66799e13e971db65348e3b265f1f7f8a70e969a5',
     ('full', 'odd', 11): 'b6a17f9752a90a5445a9b3d9622d7e588d29c8d5c11cd77bf4959dcb5df79a5b',
+    # recorded before the ledger took the count that ``step`` reads
+    ('full', 'skewed', 3): 'd4da6af6208315594ed0821afdff11860decd4d93c42fbbe0150006fb80a6225',
+    ('full', 'skewed', 11): '0fab4119750b06d4b17d43bb3b061330d91e21351b9129d63ef04ff28455247f',
 }
+
+
+def skewed_events(n: int, m: int, T: int, mu: float, seed: int) -> list[StreamEvent]:
+    """T Bernoulli(mu) arrivals: weighted sampling without replacement of
+    each user's m slots, user weights 1/rank in a random order of ranks.
+    Each slot gets an exponential arrival time at its user's rate, and the
+    T earliest slots, in time order, are the stream."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / rng.permutation(np.arange(1, n + 1))
+    arrival = rng.exponential(size=n * m) / np.repeat(weights, m)
+    users = (np.argsort(arrival, kind="stable")[:T] // m + 1).tolist()
+    values = (rng.random(T) < mu).astype(float).tolist()
+    return [StreamEvent(t + 1, u, x) for t, (u, x) in enumerate(zip(users, values))]
+
+
+def setting_events(algorithm: str, setting: str, seed: int) -> list[StreamEvent]:
+    p = SETTINGS[setting]
+    if setting == "skewed":
+        return skewed_events(p["n"], p["m"], p["T"], p["mu"], seed + 100)
+    ordering = "contiguous" if algorithm == "wishful" else "uniform_random"
+    return generate(p["mu"], p["n"], p["m"], p["T"], OrderingSpec(ordering), seed=seed + 100)
 
 
 def run_digest(algorithm: str, setting: str, seed: int) -> str:
     p = SETTINGS[setting]
-    ordering = "contiguous" if algorithm == "wishful" else "uniform_random"
-    events = generate(p["mu"], p["n"], p["m"], p["T"], OrderingSpec(ordering), seed=seed + 100)
+    events = setting_events(algorithm, setting, seed)
     kw = {}
     if algorithm in ("naive", "wishful"):
         kw["T"] = p["T"]
@@ -70,7 +98,8 @@ def run_digest(algorithm: str, setting: str, seed: int) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-CASES = [(a, s, seed) for a in ALGORITHMS for s in SETTINGS for seed in SEEDS]
+CASES = [(a, s, seed) for a in ALGORITHMS for s in ("dense", "odd") for seed in SEEDS]
+CASES += [("full", "skewed", seed) for seed in SEEDS]
 
 
 @pytest.mark.parametrize("algorithm,setting,seed", CASES)
@@ -87,3 +116,14 @@ def test_dense_setting_activates_full_with_private_priors():
     flags = [est.step(ev).flags for ev in events]
     assert not est.inactive and sorted(est.priors) == [2, 3, 4]
     assert any("div" in f for f in flags)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_skewed_setting_activates_every_level_and_trims_history(seed):
+    p = SETTINGS["skewed"]
+    est = make_estimator(
+        EstimatorConfig(algorithm="full", n=p["n"], m=p["m"], eps=p["eps"], delta=p["delta"], seed=seed)
+    )
+    est.run(setting_events("full", "skewed", seed))
+    assert not est.buffers and sorted(est.priors) == [2, 3, 4, 5]
+    assert len(est._history) == 0 and max(est.counts.values()) == p["m"]

@@ -116,6 +116,23 @@ class TestPacking:
         arrays = pack_arrays(req)
         assert arrays == [[1.0, 1.0], [0.0, 0.0]]
 
+    @pytest.mark.parametrize(
+        "low,span",
+        [
+            (1, 255), (1, 256), (-5, 65_535), (0, 65_536),
+            (7, 2**32 - 1), (-(2**40), 2**32), (-(2**63), 2**64 - 256), (-(2**63), 2**64 - 1),
+        ],
+    )
+    def test_sort_keys_of_every_width(self, low, span):
+        # the sort keys are ids - min(ids) in 8, 16, 32 or 64 bits; spans
+        # of 2^63 and more overflow int64 and must still order the ids
+        ids = [low, low + span, low + 2, low + span - 1, low + 1]
+        per_user = {u: [(i + 1) / 10 + j / 100 for j in range(3)] for i, u in enumerate(ids)}
+        eps = 16.0 * math.log(2.0 / 0.5) / 5  # five arrays of two
+        req = MedianRequest(history=make_history(per_user), eps=eps, level=2, beta=0.5)
+        assert req.arrays_required == 5
+        assert pack_arrays(req) == reference_pack(per_user, 5, 2) == reference_pack_arrays(req)
+
     def test_insufficient_diversity_raises(self):
         history = make_history({1: [1.0] * 100})
         with pytest.raises(InsufficientDiversityError):
