@@ -116,10 +116,11 @@ class BinaryMechanism:
         twin = cls.__new__(cls)
         twin.eta = self.eta
         twin.label = self.label
-        # a generator already drawn from is copied with its state; a factory
-        # has not run, so the twin's first draw builds the same generator
+        # a factory has not run, so the twin's first draw builds the same
+        # generator; one already drawn from is copied with its state.  The
+        # factory test comes first: naming ``np.random`` imports it
         rng = self._rng
-        twin._rng = deepcopy(rng) if isinstance(rng, np.random.Generator) else rng
+        twin._rng = rng if callable(rng) else deepcopy(rng)
         twin._nps = self._nps[:]
         twin._stack = self._stack[:]
         twin._draws = self._draws[:]
@@ -128,6 +129,11 @@ class BinaryMechanism:
     @property
     def noisy_partial_sums(self) -> tuple[float, ...]:
         return tuple(self._nps)
+
+    def write_partial_sums(self, out: array) -> None:
+        """Append the noisy partial sums, in index order, to ``out``, an
+        ``array('d')``: one buffer copy, no float per entry."""
+        out.extend(self._nps)
 
     def _refill(self) -> float:
         if not isinstance(self._rng, np.random.Generator):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from contmean.binmech import BinaryMechanism
-from contmean.median import MedianRequest, private_median
+from contmean.median import MedianRequest, array_size, arrays_required, private_median
 from contmean.noise import BudgetLedger, spawn_rng
 from contmean.streams import StreamEvent
 from contmean.truncate import (
@@ -700,8 +700,11 @@ class FullEstimator(WithholdReleaseEstimator):
         self._history_cap = 1 << (len(self.mechanisms) - 2) if self.buffers else 0
         # per level: its median's array size and the supply that fills its
         # arrays, sum_u min(M(u), array size) >= arrays * array size
-        requests = [self._median_request(lv) for lv in levels]
-        self._needs = {r.level: (r.array_size, r.arrays_required * r.array_size) for r in requests}
+        self._needs = {}
+        for lv in levels:
+            row = self._prior_row(lv)
+            size = array_size(lv)
+            self._needs[lv] = (size, arrays_required(row.share, lv, row.beta) * size)
         # that sum at the lowest inactive level, tracked until the last
         # activation, and that level's threshold
         self._gate = self.supply.track(self._needs[2][0]) if self.buffers else None
@@ -724,10 +727,13 @@ class FullEstimator(WithholdReleaseEstimator):
         return set(self.buffers)
 
     def buffered_sample_count(self) -> int:
-        return sum((1 << (lv - 1)) * len(vals) for lv, vals in self.buffers.items())
+        return sum(array_size(lv) * len(vals) for lv, vals in self.buffers.items())
+
+    def _prior_row(self, level: int):
+        return self.table[level - 1]  # the prior rows of levels 1..L lead the table
 
     def _median_request(self, level: int) -> MedianRequest:
-        row = self.table[level - 1]  # the prior rows of levels 1..L lead the table
+        row = self._prior_row(level)
         return MedianRequest(tuple(self._history), row.share, level, row.beta)
 
     def _activate(self, level: int) -> None:
@@ -739,8 +745,9 @@ class FullEstimator(WithholdReleaseEstimator):
         self.priors[level] = prior
         if not cfg.clip_disabled:
             self._intervals[level] = interval_full(prior, level, cfg.n, cfg.m, cfg.eps, cfg.delta)
+        size = array_size(level)
         for raw in self.buffers.pop(level):
-            self._release(level, raw, 1 << (level - 1))
+            self._release(level, raw, size)
         self._active += (level,)
         gate = self._gate
         if self.buffers:

@@ -9,16 +9,22 @@ compares the realized change in the stored partial sums against the bound
 that calibrates the Laplace noise.  The neighbors are replayed along their
 shared prefixes: a replay branches into an estimator ``copy()`` at each of
 the changed user's samples, so an event is stepped once per branch it lies
-on, not once per neighbor.
+on, not once per neighbor.  An audit's runs form one float64 matrix, a row
+per run holding every counter's partial sums side by side, and its pairs
+of runs are compared a block at a time: one gather per side, one
+subtraction for all counters, and each counter's l1 shift summed in the
+order numpy sums one counter's row.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +46,7 @@ SUMMARY_HEADER = ["t", "median_abs_error", "q10_abs_error", "q90_abs_error"]
 
 _AUDITABLE = ("naive", "single", "multi", "full")
 _GRID_LIMIT = 12  # 2^12 estimator replays is the most an audit will attempt
-_BLOCK_ENTRIES = 1 << 16  # per counter, the most pair differences held at once
+_BLOCK_ENTRIES = 1 << 16  # the most pair differences held at once, over all counters
 
 
 # --------------------------------------------------------------------------
@@ -230,6 +236,7 @@ class AuditReport:
     passed: bool
 
 
+@functools.lru_cache(maxsize=64)
 def _audit_config(config: EstimatorConfig) -> EstimatorConfig:
     if config.algorithm not in _AUDITABLE:
         raise ValueError(f"audits cover {_AUDITABLE}, not {config.algorithm!r}")
@@ -255,62 +262,117 @@ def _per_mechanism_bounds(config: EstimatorConfig) -> list[tuple[str, float, flo
     return [(row.counter, row.entries, row.sensitivity) for row in table if row.counter is not None]
 
 
+class _Runs(NamedTuple):
+    """Neighbor runs side by side: row r holds run r's counters' partial
+    sums, counter i in the ``widths[i]`` columns after counters 0..i-1."""
+
+    sums: np.ndarray
+    widths: list[int]
+
+
 def _value_grid_runs(
     config: EstimatorConfig, events: list[StreamEvent], positions: list[int]
-) -> list[np.ndarray]:
+) -> _Runs:
     """Replay ``events`` noiselessly through ``step`` under every {0,1}
-    assignment of the given positions; per counter, one (assignments,
-    entries) float64 array of its stored partial sums, row ``mask`` for the
-    assignment that sets position j to bit j of ``mask``.
+    assignment of the given positions; row ``mask`` holds the assignment
+    that sets position j to bit j of ``mask``.
 
     Assignments that agree on the first j positions share their state up
     to position j + 1, so the replays walk a binary tree depth first: the
     events before the next position are stepped once per node, and at the
     position the estimator branches into a ``copy()`` that takes 1.0 while
     the original takes 0.0.  An event is stepped 2^c times, c the number of
-    positions at or before it, not 2^len(positions) times.
+    positions at or before it, not 2^len(positions) times.  Each leaf
+    appends its counters' partial sums to one buffer, viewed as the matrix
+    once the walk is done.
     """
     if len(positions) > _GRID_LIMIT:
         raise ValueError(
             f"value grid over {len(positions)} samples is too large to enumerate"
         )
     k = len(positions)
-    bounds = [*positions, len(events)]
-    rows: list[np.ndarray] = []
+    # the events between positions, and each position's two values
+    starts = [0, *(p + 1 for p in positions)]
+    segments = [events[a:b] for a, b in zip(starts, [*positions, len(events)])]
+    branches = [(events[p]._replace(value=0.0), events[p]._replace(value=1.0)) for p in positions]
+    buffer = array("d")
     widths: list[int] = []
+    masks: list[int] = []  # leaves in walk order
 
     def leaf(est, mask: int) -> None:
-        sums = [mech.noisy_partial_sums for mech in est.mechanisms]
-        if not rows:
-            widths.extend(len(s) for s in sums)
-            rows.extend(np.empty((1 << k, w)) for w in widths)
-        _check_layout(widths, [len(s) for s in sums], len(widths))
-        for acc, s in zip(rows, sums):
-            acc[mask] = s
+        mechs = est.mechanisms
+        lengths = [len(mech) for mech in mechs]
+        if not masks:
+            widths.extend(lengths)
+        elif lengths != widths:
+            _check_layout(widths, lengths, len(widths))
+        for mech in mechs:
+            mech.write_partial_sums(buffer)
+        masks.append(mask)
 
-    def walk(est, depth: int, start: int, mask: int) -> None:
-        stop = bounds[depth]
-        for ev in events[start:stop]:
+    def walk(est, depth: int, mask: int) -> None:
+        for ev in segments[depth]:
             est.step(ev)
         if depth == k:
             leaf(est, mask)
             return
-        ev = events[stop]
+        zero, one = branches[depth]
         twin = est.copy()
-        est.step(StreamEvent(t=ev.t, user=ev.user, value=0.0))
-        walk(est, depth + 1, stop + 1, mask)
-        twin.step(StreamEvent(t=ev.t, user=ev.user, value=1.0))
-        walk(twin, depth + 1, stop + 1, mask | (1 << depth))
+        est.step(zero)
+        walk(est, depth + 1, mask)
+        twin.step(one)
+        walk(twin, depth + 1, mask | (1 << depth))
 
-    walk(make_estimator(config), 0, 0, 0)
-    return rows
+    walk(make_estimator(config), 0, 0)
+    walked = np.frombuffer(buffer).reshape(len(masks), sum(widths))
+    sums = np.empty_like(walked)
+    sums[masks] = walked
+    return _Runs(sums, widths)
+
+
+def _pair_blocks(n_left: int, n_right: int, upper: bool, block: int):
+    """Every pair (left row i, right row j), j > i only when ``upper``, as
+    (left rows, right rows) index arrays in i-then-j order, at most
+    ``block`` pairs at a time; ``upper`` pairs a set of runs with itself,
+    so ``n_left == n_right``.  A grid whose pairs fit in one block reuses
+    its cached indices."""
+    n_pairs = n_right * (n_right - 1) // 2 if upper else n_left * n_right
+    if n_pairs <= block:
+        return _one_block(n_left, n_right, upper)
+    # larger grids build each block's indices on the spot, so the indices
+    # held at once stay bounded however many pairs a grid has
+    return _numbered_pairs(n_left, n_right, upper, block)
+
+
+@functools.lru_cache(maxsize=32)
+def _one_block(n_left: int, n_right: int, upper: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The blocks of ``_numbered_pairs`` when one holds every pair (none
+    when there are no pairs), made read-only."""
+    blocks = tuple(_numbered_pairs(n_left, n_right, upper, max(1, n_left * n_right)))
+    for indices in blocks:
+        for a in indices:
+            a.setflags(write=False)
+    return blocks
+
+
+def _numbered_pairs(n_left: int, n_right: int, upper: bool, block: int):
+    # pairs are numbered row by row, i ascending, then j; those of left row
+    # i are right rows firsts[i].. and start at number offsets[i]
+    firsts = np.arange(1, n_left + 1) if upper else np.zeros(n_left, dtype=np.intp)
+    counts = n_right - firsts
+    offsets = np.cumsum(counts) - counts
+    n_pairs = int(counts.sum())
+    for start in range(0, n_pairs, block):
+        p = np.arange(start, min(start + block, n_pairs))
+        lb = np.searchsorted(offsets, p, side="right") - 1
+        yield lb, p - offsets[lb] + firsts[lb]
 
 
 def _diff_report(
     config: EstimatorConfig,
     changed_user: int,
-    left: list[np.ndarray],
-    right: list[np.ndarray],
+    left: _Runs,
+    right: _Runs,
     upper: bool,
 ) -> AuditReport:
     """Worst disturbance over the pairs of a left row i and a right row j
@@ -319,38 +381,54 @@ def _diff_report(
     shift, plus the largest shift summed over counters."""
     bounds = _per_mechanism_bounds(config)
     n_mech = len(bounds)
-    widths = [a.shape[1] for a in left]
-    _check_layout(widths, [b.shape[1] for b in right], n_mech)
+    widths = left.widths
+    _check_layout(widths, right.widths, n_mech)
     worst_count = [0] * n_mech
     worst_l1 = [0.0] * n_mech
     worst_total_l1 = 0.0
-    # pairs are numbered row by row, i ascending, then j; those of left row
-    # i are right rows firsts[i].. and start at number offsets[i]
-    n_left, n_right = left[0].shape[0], right[0].shape[0]
-    firsts = np.arange(1, n_left + 1) if upper else np.zeros(n_left, dtype=np.intp)
-    counts = n_right - firsts
-    offsets = np.cumsum(counts) - counts
-    n_pairs = int(counts.sum())
-    # pairs go through in blocks, each block's indices built on the spot, so
-    # the indices and differences held at once stay bounded however many
-    # pairs a grid has
-    block = max(1, _BLOCK_ENTRIES // max([1, *widths]))
-    # a counter that holds no entries moves none, so its row stays at zero
-    counters = [(i, a, b) for i, (a, b) in enumerate(zip(left, right)) if a.shape[1]]
-    for start in range(0, n_pairs, block):
-        p = np.arange(start, min(start + block, n_pairs))
-        lb = np.searchsorted(offsets, p, side="right") - 1
-        rb = p - offsets[lb] + firsts[lb]
+    # counter i holds rows s..e of a block's differences, run pairs along
+    # columns; a counter that holds no entries moves none, so it is left out
+    counters, width = [], 0
+    for i, w in enumerate(widths):
+        if w:
+            counters.append((i, width, width + w))
+        width += w
+    block = max(1, _BLOCK_ENTRIES // max(1, width))
+    # each counter entry's values over the runs, contiguous for the gathers
+    left_t = np.ascontiguousarray(left.sums.T)
+    right_t = left_t if right is left else np.ascontiguousarray(right.sums.T)
+    blocks = _pair_blocks(len(left.sums), len(right.sums), upper, block) if counters else ()
+    scratch = None
+    for lb, rb in blocks:
+        # one gather per side into scratch reused by every block; the
+        # indices are in range, and "clip" skips take's buffered check
+        n = len(lb)
+        if scratch is None:
+            scratch = np.empty((2, width * n))
+        diff = scratch[0, : width * n].reshape(width, n)
+        other = scratch[1, : width * n].reshape(width, n)
+        left_t.take(lb, axis=1, out=diff, mode="clip")
+        right_t.take(rb, axis=1, out=other, mode="clip")
+        np.subtract(diff, other, out=diff)
+        np.abs(diff, out=diff)
+        moved = (diff > 1e-9).view(np.uint8)
         total = 0.0
-        for i, a, b in counters:
-            diff = a[lb]
-            diff -= b[rb]
-            np.abs(diff, out=diff)
-            worst_count[i] = max(worst_count[i], int((diff > 1e-9).sum(axis=1).max()))
-            l1 = diff.sum(axis=1)
+        for i, s, e in counters:
+            # a pair's l1 shift adds the counter's entries in the order
+            # numpy sums one row: left to right below 8 entries, pairwise
+            # from 8 on.  Entry counts are integers, so any order gives them
+            if e - s < 8:
+                l1, count = diff[s], moved[s]
+                for c in range(s + 1, e):
+                    l1 = l1 + diff[c]
+                    count = count + moved[c]
+            else:
+                l1 = diff[s:e].T.copy().sum(axis=1)
+                count = moved[s:e].sum(axis=0)
+            worst_count[i] = max(worst_count[i], int(count.max()))
             worst_l1[i] = max(worst_l1[i], float(l1.max()))
             total = total + l1
-        worst_total_l1 = max(worst_total_l1, float(np.max(total)))
+        worst_total_l1 = max(worst_total_l1, float(total.max()))
 
     mech_reports = tuple(
         AuditMechanismReport(

@@ -28,6 +28,8 @@ __all__ = [
     "BinGrid",
     "InsufficientDiversityError",
     "MedianRequest",
+    "array_size",
+    "arrays_required",
     "pack_arrays",
     "prior_array_count",
     "private_median",
@@ -52,6 +54,18 @@ def prior_array_count(eps: float, level: int, beta: float) -> float:
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     return (16.0 / eps) * math.log(2.0 ** (level / 2.0) / beta)
+
+
+def arrays_required(eps: float, level: int, beta: float) -> int:
+    """The number of arrays a median at ``level`` packs: the ceiling of
+    ``prior_array_count``."""
+    return math.ceil(prior_array_count(eps, level, beta))
+
+
+def array_size(level: int) -> int:
+    """The samples in each array a median at ``level`` packs, 2^(level-1):
+    one user's level-``level`` block."""
+    return 1 << (level - 1)
 
 
 def utility_radius(arrays: int, level: int, delta: float) -> float:
@@ -79,11 +93,11 @@ class MedianRequest:
 
     @property
     def arrays_required(self) -> int:
-        return math.ceil(prior_array_count(self.eps, self.level, self.beta))
+        return arrays_required(self.eps, self.level, self.beta)
 
     @property
     def array_size(self) -> int:
-        return 1 << (self.level - 1)
+        return array_size(self.level)
 
 
 @dataclass(frozen=True)

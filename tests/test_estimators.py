@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +483,37 @@ class TestCopy:
         est.run(events[cut:])
         assert estimator_state(est) == estimator_state(whole)
         assert estimator_state(twin) == estimator_state(whole)
+
+
+class TestCopyBeforeDraws:
+    """A counter that has not drawn holds a generator factory, and copying
+    it neither runs the factory nor imports ``numpy.random``."""
+
+    SCRIPT = """
+import sys
+from contmean.estimators import ALGORITHMS, EstimatorConfig, make_estimator
+from contmean.streams import StreamEvent
+
+def config(algorithm):
+    extra = {"T": 8} if algorithm in ("naive", "wishful") else {}
+    if algorithm in ("wishful", "single", "multi"):
+        extra["prior"] = 0.5
+    return EstimatorConfig(algorithm, n=3, m=4, eps=1.0, delta=0.1, **extra)
+
+for algorithm in ALGORITHMS:
+    make_estimator(config(algorithm)).copy()
+    print(algorithm, "numpy.random" in sys.modules)
+make_estimator(config("naive")).step(StreamEvent(1, 1, 0.5))  # the first draw
+print("drawn", "numpy.random" in sys.modules)
+"""
+
+    def test_fresh_copy_leaves_numpy_random_unimported(self):
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True, check=True
+        ).stdout.split("\n")
+        assert out == [f"{a} False" for a in ALGORITHMS] + ["drawn True", ""]
 
 
 class TestAccountingInvariant:

@@ -226,6 +226,17 @@ def _case(algorithm, users, changed_user, values=None, n=3, m=4):
     return config, flip_stream(users, values), changed_user
 
 
+# naive's one counter holds an entry per event, here 10
+WIDE_NAIVE = _case(
+    "naive", [2, 1, 1, 1, 1, 2, 2, 2, 2, 1], 1, [0.1, 0.8, 0.5, 0.1, 0.8, 1.0, 0.2, 0.2, 0.2, 0.2], m=8
+)
+# multi at m = 256 has 9 counters; user 2's 130 samples reach all but the
+# last, and user 1's 8 samples move the first four
+MANY_COUNTERS = _case(
+    "multi", [1, 1, 1, 1, 1, 1, 2, 2, 1, 2, 1] + [2] * 127, 1, [(i * 7 % 11) / 10 for i in range(138)], m=256
+)
+
+
 class TestAuditOracle:
     """The array comparison reports what the pair-at-a-time one does,
     every field and every float equal."""
@@ -242,6 +253,9 @@ class TestAuditOracle:
     @example(_case("naive", [1, 2, 1, 3, 1], 3))
     @example(_case("single", [], 1))
     @example(_case("naive", [1, 3, 3, 3, 2, 3, 2, 1, 1], 1, [0.6, 0.9, 0.6, 0.5, 0.7, 1.0, 0.9, 0.8, 0.1]))
+    # numpy sums a row of 8 or more entries pairwise: summed left to right,
+    # this counter's l1 shift ends on another last bit
+    @example(WIDE_NAIVE)
     def test_reports_equal_reference(self, case):
         config, events, changed_user = case
         users = [ev.user for ev in events]
@@ -253,6 +267,48 @@ class TestAuditOracle:
             audit_sensitivity(config, events, changed_user),
             reference_audit_sensitivity(config, events, changed_user),
         )
+
+    def test_sensitivity_adds_counters_in_order(self):
+        # a pair's shift adds the counters one by one; with 8 counters
+        # holding entries, pairwise addition over counters would end on
+        # another last bit.  Only a stream with fractional values shows the
+        # order: the value grid fixes the other users at 0.0, so its shifts
+        # are exact.  The value-grid reference of this case is too slow for
+        # ``test_reports_equal_reference``
+        config, events, changed_user = MANY_COUNTERS
+        self.assert_identical(
+            audit_sensitivity(config, events, changed_user),
+            reference_audit_sensitivity(config, events, changed_user),
+        )
+
+    @pytest.mark.parametrize(
+        "n_left, n_right, upper, block",
+        [(5, 5, True, 3), (5, 5, True, 10), (4, 6, False, 5), (4, 6, False, 24), (1, 1, True, 4)],
+    )
+    def test_pair_blocks_list_every_pair_once_in_order(self, n_left, n_right, upper, block):
+        want = [(i, j) for i in range(n_left) for j in range(n_right) if j > i or not upper]
+        blocks = list(harness._pair_blocks(n_left, n_right, upper, block))
+        assert all(len(lb) <= block for lb, _ in blocks)
+        assert [(int(i), int(j)) for lb, rb in blocks for i, j in zip(lb, rb)] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(audit_cases())
+    @example(_case("full", [1, 2, 1, 3, 1], 2))  # one pair: the indices built once
+    @example(_case("multi", [1, 2, 1, 3, 1], 1, m=8))  # 28 pairs, built block by block
+    def test_reports_equal_reference_in_small_blocks(self, case):
+        # a few differences per block, so most audits cross block boundaries
+        config, events, changed_user = case
+        users = [ev.user for ev in events]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_BLOCK_ENTRIES", 5)
+            self.assert_identical(
+                audit_value_grid(config, users, changed_user),
+                reference_audit_value_grid(config, users, changed_user),
+            )
+            self.assert_identical(
+                audit_sensitivity(config, events, changed_user),
+                reference_audit_sensitivity(config, events, changed_user),
+            )
 
     @staticmethod
     def assert_grid_fits(users, samples):
@@ -301,15 +357,18 @@ class TestAuditReplays:
         config, events, changed = _case(algorithm, [2, 1, 2, 3, 1, 2, 2, 3, 1], 2, m=8)
         config = harness._audit_config(config)
         positions = [i for i, ev in enumerate(events) if ev.user == changed]
-        rows = harness._value_grid_runs(config, events, positions)
+        runs = harness._value_grid_runs(config, events, positions)
+        assert runs.sums.shape == (1 << len(positions), sum(runs.widths))
+        ends = list(itertools.accumulate(runs.widths))
         for mask in range(1 << len(positions)):
             variant = list(events)
             for bit, pos in enumerate(positions):
                 variant[pos] = variant[pos]._replace(value=float((mask >> bit) & 1))
             est = make_estimator(config)
             est.run(variant)
-            for row, mech in zip(rows, est.mechanisms, strict=True):
-                assert row[mask].tolist() == list(mech.noisy_partial_sums)
+            # counter i's partial sums fill the columns after counters 0..i-1
+            for w, e, mech in zip(runs.widths, ends, est.mechanisms, strict=True):
+                assert runs.sums[mask, e - w : e].tolist() == list(mech.noisy_partial_sums)
 
     def test_steps_follow_the_shared_prefixes(self, monkeypatch):
         # an event after c of the changed user's samples (its own included)
