@@ -225,8 +225,10 @@ class EstimatorConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        # NaN fails ``0 < eps < inf``: a NaN or infinite budget would publish
+        # NaN or run without noise
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 < self.delta <= 1:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         min_m = 1 if self.algorithm in ("naive", "wishful") else 2
@@ -244,8 +246,10 @@ class EstimatorConfig:
             raise ValueError(f"prior must be in [0, 1], got {self.prior}")
         if self.prior_override is not None and self.algorithm != "full":
             raise ValueError("prior_override applies to the full estimator only")
-        if self.noise_override is not None and self.noise_override < 0:
-            raise ValueError("noise_override must be nonnegative")
+        if self.prior_override is not None and not 0.0 <= self.prior_override <= 1.0:
+            raise ValueError(f"prior_override must be in [0, 1], got {self.prior_override}")
+        if self.noise_override is not None and not 0 <= self.noise_override < math.inf:
+            raise ValueError(f"noise_override must be nonnegative and finite, got {self.noise_override}")
 
 
 @dataclass(slots=True)

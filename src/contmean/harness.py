@@ -11,9 +11,10 @@ shared prefixes: a replay branches into an estimator ``copy()`` at each of
 the changed user's samples, so an event is stepped once per branch it lies
 on, not once per neighbor.  An audit's runs form one float64 matrix, a row
 per run holding every counter's partial sums side by side, and its pairs
-of runs are compared a block at a time: one gather per side, one
-subtraction for all counters, and each counter's l1 shift summed in the
-order numpy sums one counter's row.
+of runs are compared a tile at a time: a block of left runs against a
+block of right runs, their differences one broadcast subtraction for all
+counters, and each counter's l1 shift summed in the order numpy sums one
+counter's row.
 """
 
 from __future__ import annotations
@@ -330,44 +331,6 @@ def _value_grid_runs(
     return _Runs(sums, widths)
 
 
-def _pair_blocks(n_left: int, n_right: int, upper: bool, block: int):
-    """Every pair (left row i, right row j), j > i only when ``upper``, as
-    (left rows, right rows) index arrays in i-then-j order, at most
-    ``block`` pairs at a time; ``upper`` pairs a set of runs with itself,
-    so ``n_left == n_right``.  A grid whose pairs fit in one block reuses
-    its cached indices."""
-    n_pairs = n_right * (n_right - 1) // 2 if upper else n_left * n_right
-    if n_pairs <= block:
-        return _one_block(n_left, n_right, upper)
-    # larger grids build each block's indices on the spot, so the indices
-    # held at once stay bounded however many pairs a grid has
-    return _numbered_pairs(n_left, n_right, upper, block)
-
-
-@functools.lru_cache(maxsize=32)
-def _one_block(n_left: int, n_right: int, upper: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The blocks of ``_numbered_pairs`` when one holds every pair (none
-    when there are no pairs), made read-only."""
-    blocks = tuple(_numbered_pairs(n_left, n_right, upper, max(1, n_left * n_right)))
-    for indices in blocks:
-        for a in indices:
-            a.setflags(write=False)
-    return blocks
-
-
-def _numbered_pairs(n_left: int, n_right: int, upper: bool, block: int):
-    # pairs are numbered row by row, i ascending, then j; those of left row
-    # i are right rows firsts[i].. and start at number offsets[i]
-    firsts = np.arange(1, n_left + 1) if upper else np.zeros(n_left, dtype=np.intp)
-    counts = n_right - firsts
-    offsets = np.cumsum(counts) - counts
-    n_pairs = int(counts.sum())
-    for start in range(0, n_pairs, block):
-        p = np.arange(start, min(start + block, n_pairs))
-        lb = np.searchsorted(offsets, p, side="right") - 1
-        yield lb, p - offsets[lb] + firsts[lb]
-
-
 def _diff_report(
     config: EstimatorConfig,
     changed_user: int,
@@ -386,49 +349,46 @@ def _diff_report(
     worst_count = [0] * n_mech
     worst_l1 = [0.0] * n_mech
     worst_total_l1 = 0.0
-    # counter i holds rows s..e of a block's differences, run pairs along
+    # counter i holds rows s..e of a tile's differences, run pairs along
     # columns; a counter that holds no entries moves none, so it is left out
     counters, width = [], 0
     for i, w in enumerate(widths):
         if w:
             counters.append((i, width, width + w))
         width += w
-    block = max(1, _BLOCK_ENTRIES // max(1, width))
-    # each counter entry's values over the runs, contiguous for the gathers
+    # each counter entry's values over the runs, one row per entry
     left_t = np.ascontiguousarray(left.sums.T)
     right_t = left_t if right is left else np.ascontiguousarray(right.sums.T)
-    blocks = _pair_blocks(len(left.sums), len(right.sums), upper, block) if counters else ()
-    scratch = None
-    for lb, rb in blocks:
-        # one gather per side into scratch reused by every block; the
-        # indices are in range, and "clip" skips take's buffered check
-        n = len(lb)
-        if scratch is None:
-            scratch = np.empty((2, width * n))
-        diff = scratch[0, : width * n].reshape(width, n)
-        other = scratch[1, : width * n].reshape(width, n)
-        left_t.take(lb, axis=1, out=diff, mode="clip")
-        right_t.take(rb, axis=1, out=other, mode="clip")
-        np.subtract(diff, other, out=diff)
-        np.abs(diff, out=diff)
-        moved = (diff > 1e-9).view(np.uint8)
-        total = 0.0
-        for i, s, e in counters:
-            # a pair's l1 shift adds the counter's entries in the order
-            # numpy sums one row: left to right below 8 entries, pairwise
-            # from 8 on.  Entry counts are integers, so any order gives them
-            if e - s < 8:
-                l1, count = diff[s], moved[s]
-                for c in range(s + 1, e):
-                    l1 = l1 + diff[c]
-                    count = count + moved[c]
-            else:
-                l1 = diff[s:e].T.copy().sum(axis=1)
-                count = moved[s:e].sum(axis=0)
-            worst_count[i] = max(worst_count[i], int(count.max()))
-            worst_l1[i] = max(worst_l1[i], float(l1.max()))
-            total = total + l1
-        worst_total_l1 = max(worst_total_l1, float(total.max()))
+    n_left, n_right = left_t.shape[1], right_t.shape[1]
+    # a tile sets ``rows`` left runs against ``cols`` right runs and holds
+    # at most _BLOCK_ENTRIES differences, unless one pair alone is wider
+    cols = min(n_right, max(1, _BLOCK_ENTRIES // max(1, width)))
+    rows = max(1, _BLOCK_ENTRIES // max(1, cols * width))
+    for a in range(0, n_left if counters else 0, rows):
+        # with ``upper``, right runs start past the tile's first left run;
+        # its pairs j <= i are then mirror images, |x - y| == |y - x| bit
+        # for bit, or a run against itself, which moves nothing
+        for b in range(a + 1 if upper else 0, n_right, cols):
+            diff = left_t[:, a : a + rows, None] - right_t[:, None, b : b + cols]
+            diff = np.abs(diff, out=diff).reshape(width, -1)
+            moved = (diff > 1e-9).view(np.uint8)
+            total = 0.0
+            for i, s, e in counters:
+                # a pair's l1 shift adds the counter's entries in the order
+                # numpy sums one row: left to right below 8 entries, pairwise
+                # from 8 on.  Entry counts are integers, so any order gives them
+                if e - s < 8:
+                    l1, count = diff[s], moved[s]
+                    for c in range(s + 1, e):
+                        l1 = l1 + diff[c]
+                        count = count + moved[c]
+                else:
+                    l1 = diff[s:e].T.copy().sum(axis=1)
+                    count = moved[s:e].sum(axis=0)
+                worst_count[i] = max(worst_count[i], int(count.max()))
+                worst_l1[i] = max(worst_l1[i], float(l1.max()))
+                total = total + l1
+            worst_total_l1 = max(worst_total_l1, float(total.max()))
 
     mech_reports = tuple(
         AuditMechanismReport(

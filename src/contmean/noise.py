@@ -101,8 +101,10 @@ class BudgetLedger:
     _REL_SLACK = 1e-9
 
     def __post_init__(self) -> None:
-        if self.total_eps <= 0:
-            raise ValueError(f"total_eps must be positive, got {self.total_eps}")
+        # NaN fails ``0 < x < inf``; a NaN budget or charge would let every
+        # later overrun check pass
+        if not 0 < self.total_eps < math.inf:
+            raise ValueError(f"total_eps must be positive and finite, got {self.total_eps}")
         self._running = self.spent
 
     @property
@@ -114,8 +116,8 @@ class BudgetLedger:
         return self.total_eps - self.spent
 
     def charge(self, label: str, eps: float) -> "BudgetLedger":
-        if eps <= 0:
-            raise ValueError(f"charge must be positive, got {eps} for {label!r}")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"charge must be positive and finite, got {eps} for {label!r}")
         new_total = self._running + eps
         if new_total > self.total_eps * (1.0 + self._REL_SLACK):
             raise BudgetExceededError(

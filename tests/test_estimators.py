@@ -631,6 +631,24 @@ class TestInputValidation:
         assert est.t == 0 and est.counts == {} and est.records == []
         est.step(StreamEvent(t=1, user=1, value=1.0))  # the boundary is allowed
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("eps", math.nan),
+            ("eps", math.inf),
+            ("noise_override", math.nan),
+            ("noise_override", math.inf),
+            ("prior_override", math.nan),
+            ("prior_override", -0.1),
+            ("prior_override", 1.5),
+        ],
+    )
+    def test_nonfinite_privacy_inputs_rejected(self, field, value):
+        # a NaN budget publishes NaN, an infinite one runs noiseless, and a
+        # NaN prior centre leaves block sums unclamped
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            any_config("full", n=4, m=4, T=16, delta=0.1, **{"eps": 1.0, field: value})
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_time_must_increase(self, algorithm):
         est = make_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -216,6 +217,28 @@ def audit_cases(draw):
     return config, flip_stream(users, values), draw(st.integers(1, n))
 
 
+@st.composite
+def order_sensitive_cases(draw):
+    """(config, events, changed user) whose l1 shifts show the order of
+    additions: thousandths leave rounding residues in the partial sums.
+    Either naive, whose one counter holds an entry per event, 8 to 20, and
+    user 1's samples move overlapping runs of them; or multi at m = 256,
+    with nine counters: user 1's 8 samples move the first four, and user
+    2's 128 reach all but the last, so eight counters hold entries."""
+    if draw(st.booleans()):
+        config = EstimatorConfig(algorithm="naive", n=2, m=12, eps=1.0, delta=0.1, T=20)
+        users = [1] * draw(st.integers(4, 8)) + [2] * draw(st.integers(4, 12))
+    else:
+        config = EstimatorConfig(algorithm="multi", n=2, m=256, eps=1.0, delta=0.1, prior=0.5)
+        users = [1] * 8 + [2] * 128
+    # drawn from a seed, so that every example has its own arrival order
+    # and values; Hypothesis's own draws vary little between examples
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rng.shuffle(users)
+    values = [rng.randint(1, 999) / 1000 for _ in users]
+    return config, flip_stream(users, values), 1
+
+
 def _case(algorithm, users, changed_user, values=None, n=3, m=4):
     values = values or [(i % 3) / 2 for i in range(len(users))]
     config = EstimatorConfig(
@@ -281,15 +304,44 @@ class TestAuditOracle:
             reference_audit_sensitivity(config, events, changed_user),
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(order_sensitive_cases())
+    def test_drawn_sensitivity_shows_summation_order(self, case):
+        # no pinned example: drawn streams alone must tell a counter summed
+        # left to right from 8 entries, or counters added pairwise, apart
+        config, events, changed_user = case
+        self.assert_identical(
+            audit_sensitivity(config, events, changed_user),
+            reference_audit_sensitivity(config, events, changed_user),
+        )
+
     @pytest.mark.parametrize(
-        "n_left, n_right, upper, block",
-        [(5, 5, True, 3), (5, 5, True, 10), (4, 6, False, 5), (4, 6, False, 24), (1, 1, True, 4)],
+        "case, block",
+        [
+            # 32 runs of naive's one 10-entry counter: 3 left runs a tile
+            (WIDE_NAIVE, 960),
+            # 7 right runs a tile, the last tile of each row short
+            (WIDE_NAIVE, 70),
+            # one pair a tile, wider than the block
+            (WIDE_NAIVE, 9),
+            # 32 runs of multi's counters of 3, 2, 1 and 0 entries
+            (_case("multi", [1, 2, 1, 3, 1, 1, 2, 1], 1, m=8), 960),
+            (_case("multi", [1, 2, 1, 3, 1, 1, 2, 1], 1, m=8), 54),
+        ],
     )
-    def test_pair_blocks_list_every_pair_once_in_order(self, n_left, n_right, upper, block):
-        want = [(i, j) for i in range(n_left) for j in range(n_right) if j > i or not upper]
-        blocks = list(harness._pair_blocks(n_left, n_right, upper, block))
-        assert all(len(lb) <= block for lb, _ in blocks)
-        assert [(int(i), int(j)) for lb, rb in blocks for i, j in zip(lb, rb)] == want
+    def test_reports_equal_reference_across_tiles(self, case, block):
+        config, events, changed_user = case
+        users = [ev.user for ev in events]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_BLOCK_ENTRIES", block)
+            self.assert_identical(
+                audit_value_grid(config, users, changed_user),
+                reference_audit_value_grid(config, users, changed_user),
+            )
+            self.assert_identical(
+                audit_sensitivity(config, events, changed_user),
+                reference_audit_sensitivity(config, events, changed_user),
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(audit_cases())
@@ -471,6 +523,18 @@ class TestCli:
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps(bad))
         assert main(["run", "--spec", str(spec_path)]) == 2
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_nonfinite_eps_exit_code_two(self, tmp_path, eps):
+        spec = {
+            "algorithm": "naive", "n": 2, "m": 2, "eps": eps, "delta": 0.1, "T": 4,
+            "mu": 0.5, "ordering": "round_robin", "trials": 1, "checkpoints": [4],
+        }
+        spec_path = tmp_path / "bad.json"
+        # json writes NaN and Infinity, and reads them back as floats
+        spec_path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_malformed_stream_exit_code_two(self, tmp_path, capsys):
         stream_path = tmp_path / "s.csv"

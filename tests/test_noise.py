@@ -127,6 +127,21 @@ class TestBudgetLedger:
         with pytest.raises(ValueError):
             BudgetLedger(1.0).charge("x", 0.0)
 
+    @pytest.mark.parametrize("total", [0.0, -1.0, math.nan, math.inf])
+    def test_total_must_be_positive_and_finite(self, total):
+        with pytest.raises(ValueError, match="total_eps must be positive and finite"):
+            BudgetLedger(total)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_charge_rejected(self, eps):
+        # a recorded NaN would make every later overrun check pass
+        ledger = BudgetLedger(1.0)
+        with pytest.raises(ValueError, match="charge must be positive and finite"):
+            ledger.charge("x", eps)
+        assert ledger.entries == []
+        with pytest.raises(BudgetExceededError):
+            ledger.charge("z", 100.0)
+
     def test_full_allocation_sums_to_eps(self):
         # L prior slots at eps/2L plus L+1 mechanisms at eps/2(L+1)
         for m in (2, 3, 64, 1000, 1024):
