@@ -11,6 +11,7 @@ sums over that decomposition makes an append O(1) amortized and a query O(1).
 from __future__ import annotations
 
 import csv
+import math
 from array import array
 from copy import deepcopy
 from dataclasses import dataclass
@@ -97,8 +98,8 @@ class BinaryMechanism:
         rng: np.random.Generator | Callable[[], np.random.Generator],
         label: str = "",
     ):
-        if eta < 0:
-            raise ValueError(f"noise scale must be nonnegative, got {eta}")
+        if not 0 <= eta < math.inf:  # NaN fails this too
+            raise ValueError(f"noise scale must be nonnegative and finite, got {eta}")
         self.eta = float(eta)
         self.label = label
         self._rng = rng

@@ -307,15 +307,24 @@ class DiversityReport:
     max_count: int
 
 
-def _diversity_rhs(max_count: int, eps: float, delta: float, m: int) -> float:
-    """Samples, capped at M_t/2 per user, that buy ``full``'s median priors
-    (at its prior rows' share and failure probability) at scale M_t."""
+def _diversity_prior(m: int, eps: float, delta: float) -> tuple[float, float] | None:
+    """(16 / share, beta) of ``full``'s median prior rows, the terms of the
+    diversity threshold that do not change with M_t; None at m = 1."""
     if m == 1:
+        return None
+    prior = _full_prior_row(m, 1, eps, delta)
+    return 16.0 / prior.share, prior.beta
+
+
+def _diversity_rhs(max_count: int, prior: tuple[float, float] | None) -> float:
+    """Samples, capped at M_t/2 per user, that buy ``full``'s median priors
+    (``prior`` from ``_diversity_prior``) at scale M_t."""
+    if prior is None:
         # nothing is withheld, so the condition is vacuous (the limit of
         # L log L as L -> 0)
         return 0.0
-    prior = _full_prior_row(m, 1, eps, delta)
-    return (max_count / 2.0) * (16.0 / prior.share) * math.log(math.sqrt(max_count) / prior.beta)
+    weight, beta = prior
+    return (max_count / 2.0) * weight * math.log(math.sqrt(max_count) / beta)
 
 
 def check_diversity(
@@ -334,7 +343,7 @@ def check_diversity(
         raise ValueError("diversity check needs at least one observed sample")
     max_count = max(counts.values())
     lhs = float(sum(min(c, max_count / 2.0) for c in counts.values()))
-    rhs = _diversity_rhs(max_count, eps, delta, m)
+    rhs = _diversity_rhs(max_count, _diversity_prior(m, eps, delta))
     return DiversityReport(satisfied=lhs >= rhs, lhs=lhs, rhs=rhs, max_count=max_count)
 
 
@@ -349,30 +358,29 @@ class CappedSum:
 
 
 class CappedSupply:
-    """Users per sample count, plus running capped sums over those counts.
+    """Users with at least k samples, plus running capped sums over them.
 
-    ``hist[c]`` is the number of the n users that hold exactly c samples,
-    c = 0..m.  Each tracked ``CappedSum`` stays exact in O(1) per sample:
-    when one user's count moves from c to c + 1 its sum gains
-    min(c + 1, cap) - min(c, cap), which is 1, 1/2 or 0.  A sum over a new
-    cap is recounted from the histogram in O(m).  Every sum is a multiple of
-    1/2 no larger than n * m, so float sums and comparisons are exact.
+    ``at_least[k]`` = A(k), the number of users that hold k or more samples,
+    k = 1..m (slot 0 is unused and slot m + 1 stays 0).  A user moving from c
+    to c + 1 samples changes A(c + 1) alone, and sum_u min(c_u, cap) equals
+    sum_{k <= floor(cap)} A(k) + (cap - floor(cap)) * A(floor(cap) + 1).
+    Each tracked ``CappedSum`` stays exact in O(1) per sample, gaining
+    min(c + 1, cap) - min(c, cap), which is 1, 1/2 or 0, and in O(1) per
+    half-step raise of its cap.  Every sum is a multiple of 1/2 no larger
+    than n * m, so float sums and comparisons are exact.
     """
 
-    __slots__ = ("hist", "max_count", "sums")
+    __slots__ = ("at_least", "max_count", "sums")
 
-    def __init__(self, n: int, m: int):
-        self.hist = [0] * (m + 1)
-        self.hist[0] = n
+    def __init__(self, m: int):
+        self.at_least = [0] * (m + 2)
         self.max_count = 0
         self.sums: list[CappedSum] = []
 
     def add(self, count: int) -> bool:
         """Move one user from ``count`` samples to ``count + 1``; return
         whether that raised ``max_count``."""
-        hist = self.hist
-        hist[count] -= 1
-        hist[count + 1] += 1
+        self.at_least[count + 1] += 1
         for s in self.sums:
             if count < s.cap:
                 s.value += 1 if count + 1 <= s.cap else s.cap - count
@@ -381,10 +389,19 @@ class CappedSupply:
         self.max_count = count + 1
         return True
 
+    def raise_half(self, s: CappedSum) -> None:
+        """Raise ``s``'s cap, a multiple of 1/2, by 1/2: each user above the
+        old cap, A(floor(cap) + 1) of them, gains 1/2 and nobody else moves."""
+        k = int(s.cap) + 1
+        if k <= self.max_count:
+            s.value += 0.5 * self.at_least[k]
+        s.cap += 0.5
+
     def capped_sum(self, cap: float) -> float:
-        """sum_u min(c_u, cap), recounted from the histogram."""
-        hist = self.hist
-        return sum(hist[c] * min(c, cap) for c in range(1, self.max_count + 1))
+        """sum_u min(c_u, cap), recounted from ``at_least`` in O(min(cap, M))."""
+        whole = min(int(cap), self.max_count)  # A(k) = 0 above max_count
+        at_least = self.at_least
+        return sum(at_least[1 : whole + 1]) + (cap - whole) * at_least[whole + 1]
 
     def track(self, cap: float) -> CappedSum:
         s = CappedSum(cap, self.capped_sum(cap))
@@ -399,7 +416,7 @@ class CappedSupply:
         same order as these."""
         cls = type(self)
         twin = cls.__new__(cls)
-        twin.hist = self.hist[:]
+        twin.at_least = self.at_least[:]
         twin.max_count = self.max_count
         twin.sums = [CappedSum(s.cap, s.value) for s in self.sums]
         return twin
@@ -414,8 +431,9 @@ class _EstimatorBase:
 
     The counters and the budget ledger are built from one privacy table, so
     each counter's noise scale and its ledger share come from the same row.
-    Per-user counts live in ``counts`` (users seen so far only) and, as a
-    histogram with capped sums, in ``supply``; a ``step`` costs O(1) in n.
+    Per-user counts live in ``counts`` (users seen so far only) and, as
+    counts of users with at least k samples plus capped sums, in
+    ``supply``; a ``step`` costs O(1) in n.
 
     An instance owns all of its state and is single-threaded; independent
     instances (e.g. Monte-Carlo trials) never interact and may run on
@@ -443,11 +461,13 @@ class _EstimatorBase:
         ]
         self._sum = 0.0  # the counters' noisy total, set after every append
         self.counts: dict[int, int] = {}
-        self.supply = CappedSupply(config.n, config.m)
+        self.supply = CappedSupply(config.m)
         self._last_t = 0
-        # the div flag's sum at cap M_t/2 and its threshold; both change
-        # only when M_t rises
-        self._half_supply = self.supply.track(0.0) if config.track_diversity else None
+        # the div flag's sum at cap M_t/2 and its threshold; the cap and
+        # the threshold change only when M_t rises
+        tracking = config.track_diversity
+        self._half_supply = self.supply.track(0.0) if tracking else None
+        self._diversity_prior = _diversity_prior(config.m, config.eps, config.delta) if tracking else None
         self._diversity_rhs = math.inf
         self._active: tuple[int, ...] | None = None  # set by estimators that hold levels back
         self._max_t = math.inf  # the longest stream accepted: T for naive and wishful
@@ -515,10 +535,9 @@ class _EstimatorBase:
         half = self._half_supply
         if half is not None:
             if max_rose:
-                max_count = supply.max_count
-                half.cap = max_count / 2.0
-                half.value = supply.capped_sum(half.cap)
-                self._diversity_rhs = _diversity_rhs(max_count, cfg.eps, cfg.delta, cfg.m)
+                # M_t rose by 1, so the cap M_t/2 rises by 1/2
+                supply.raise_half(half)
+                self._diversity_rhs = _diversity_rhs(supply.max_count, self._diversity_prior)
             if half.value >= self._diversity_rhs:
                 flags += ("div",)
 
@@ -561,6 +580,7 @@ class _EstimatorBase:
         twin._last_t = self._last_t
         half = self._half_supply
         twin._half_supply = None if half is None else self._twin_sum(twin, half)
+        twin._diversity_prior = self._diversity_prior
         twin._diversity_rhs = self._diversity_rhs
         twin._active = self._active
         twin._max_t = self._max_t

@@ -46,8 +46,9 @@ def laplace(scale: float, rng: np.random.Generator, size: int | None = None):
     exactly 0.0 without consuming randomness, which is the deterministic
     pass-through used by noiseless test runs.
     """
-    if scale < 0:
-        raise ValueError(f"Laplace scale must be nonnegative, got {scale}")
+    # NaN fails ``0 <= x < inf``; a NaN or infinite scale would draw NaN or infinity
+    if not 0 <= scale < math.inf:
+        raise ValueError(f"Laplace scale must be nonnegative and finite, got {scale}")
     if scale == 0:
         return 0.0 if size is None else np.zeros(size)
     u = rng.random(size)  # in [0, 1)
@@ -69,8 +70,9 @@ def exp_mechanism_sample(
     """
     if len(candidates) == 0:
         raise ValueError("exponential mechanism needs at least one candidate")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    # a NaN or infinite eps would turn every weight into NaN or 0
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     costs = np.array([c for _, c in candidates], dtype=float)
     if not np.all(np.isfinite(costs)):
         raise ValueError("candidate costs must be finite")

@@ -1,5 +1,7 @@
 """Tree-aggregation counter: dyadic structure, oracle equivalence, influence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,12 @@ class TestAppendAndSum:
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):
             BinaryMechanism(-1.0, spawn_rng(0, 0))
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_nonfinite_eta_rejected(self, eta):
+        # a NaN scale used to publish a NaN sum after one append
+        with pytest.raises(ValueError, match="finite"):
+            BinaryMechanism(eta, spawn_rng(0, 0))
 
     def test_noise_scale_is_applied(self):
         mech = BinaryMechanism(10.0, spawn_rng(3, 0))

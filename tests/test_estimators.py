@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from contmean.estimators import (
     ALGORITHMS,
+    CappedSupply,
     EstimatorConfig,
     OrderingError,
     TraceRecord,
@@ -418,12 +419,71 @@ class TestFullGates:
         assert sorted(est.priors) == [2, 3, 4] and est._gate is None
 
 
+@st.composite
+def supply_cases(draw):
+    """(m, caps, ops): caps to probe after every op, and a list of
+    ("add", user, repeats), ("raise", which sum) and ("track", cap) ops.
+    Caps are integers and halves, 0 and values above m among them."""
+    m = draw(st.integers(1, 1024))
+    caps = st.one_of(
+        st.just(0),
+        st.integers(0, m + 2),
+        st.integers(0, 2 * m + 4).map(lambda k: k / 2.0),
+        st.integers(m + 1, 4 * m).map(float),
+    )
+    ops = st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 4), st.integers(1, m)),
+        st.tuples(st.just("raise"), st.integers(0, 7)),
+        st.tuples(st.just("track"), caps),
+    )
+    return m, draw(st.lists(caps, min_size=1, max_size=3)), draw(st.lists(ops, max_size=20))
+
+
+class TestCappedSupply:
+    """Every tracked sum and every recount equals sum_u min(c_u, cap),
+    counted user by user."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(supply_cases())
+    @example((1024, [512.5, 0, 2000.0], [("add", 1, 1024), ("track", 3), ("add", 2, 5), ("raise", 0)]))
+    def test_sums_equal_brute_force(self, case):
+        m, probes, ops = case
+        supply = CappedSupply(m)
+        counts = {}
+
+        def check():
+            for cap in [s.cap for s in supply.sums] + probes:
+                brute = sum(min(c, cap) for c in counts.values())
+                assert supply.capped_sum(cap) == brute
+            for s in supply.sums:
+                assert s.value == sum(min(c, s.cap) for c in counts.values())
+            assert supply.max_count == max(counts.values(), default=0)
+
+        for op in ops:
+            if op[0] == "add":
+                _, user, repeats = op
+                for _ in range(min(repeats, m - counts.get(user, 0))):
+                    count = counts.get(user, 0)
+                    rose = count == supply.max_count
+                    counts[user] = count + 1
+                    assert supply.add(count) == rose
+                    check()
+            elif op[0] == "raise":
+                if supply.sums:
+                    supply.raise_half(supply.sums[op[1] % len(supply.sums)])
+                    check()
+            else:
+                supply.track(op[1])
+                check()
+            assert supply.at_least[1:] == [sum(c >= k for c in counts.values()) for k in range(1, m + 2)]
+
+
 def estimator_state(est) -> str:
     """Everything ``step`` changes, exact to the last bit of every float."""
     return repr((
         est.t, est.total, est.records, est.counts, est.budget.entries, est.active_levels(),
         [(mech.noisy_partial_sums, mech.sum()) for mech in est.mechanisms],
-        est.supply.hist, [(s.cap, s.value) for s in est.supply.sums],
+        est.supply.at_least, [(s.cap, s.value) for s in est.supply.sums],
         getattr(est, "ledger", None) and est.ledger.pending, getattr(est, "_intervals", None),
         getattr(est, "priors", None), getattr(est, "buffers", None), getattr(est, "_history", None),
     ))
@@ -614,6 +674,45 @@ class TestDiversity:
                 rec.estimate, rec.total, rec.max_count, rec.active_levels
             )
 
+    @pytest.mark.parametrize("algorithm", ["naive", "single", "multi", "full"])
+    def test_flag_equals_recount_up_to_m_1024(self, algorithm):
+        # one user drives M_t to m = 1024 among 40 users of 1 to 8 samples;
+        # at this eps the flag turns on and off again as M_t rises
+        m, eps = 1024, 2000.0
+        rng = np.random.default_rng(0)
+        users = [1] * m + [u for u in range(2, 42) for _ in range(int(rng.integers(1, 9)))]
+        events = events_of([int(u) for u in rng.permutation(users)], [1.0, 0.0] * len(users))
+        est = make_estimator(any_config(algorithm, n=41, m=m, T=len(events), eps=eps, delta=0.1, seed=1))
+        counts, flags = {}, []
+        for ev in events:
+            counts[ev.user] = counts.get(ev.user, 0) + 1
+            recount = check_diversity(counts, eps=eps, delta=0.1, m=m)
+            rec = est.step(ev)
+            assert ("div" in rec.flags) == recount.satisfied
+            assert est.diversity() == recount
+            assert (est._half_supply.value, est._diversity_rhs) == (recount.lhs, recount.rhs)
+            flags.append(recount.satisfied)
+        assert est.supply.max_count == m
+        assert 0 < sum(flags) < len(flags) and flags[-1] is False
+
+    @pytest.mark.parametrize("algorithm", ["naive", "single", "multi", "full"])
+    def test_step_recounts_only_at_full_activations(self, algorithm, monkeypatch):
+        # the flag's sum moves by O(1) raises as M_t rises to m; only
+        # ``full``'s gate is recounted, at an activation that leaves levels
+        # to come
+        n, m = 300, 16
+        events = generate(0.5, n, m, 400, OrderingSpec("single_user_prefix"), seed=1)
+        est = make_estimator(any_config(algorithm, n=n, m=m, T=len(events), eps=50.0, delta=0.5, seed=1))
+        recounts = []
+        recount = CappedSupply.capped_sum
+        monkeypatch.setattr(CappedSupply, "capped_sum", lambda supply, cap: recounts.append(cap) or recount(supply, cap))
+        est.run(events)
+        assert est.supply.max_count == m
+        activations = len(getattr(est, "priors", ()))
+        assert len(recounts) == (activations - 1 if activations else 0)
+        if algorithm == "full":
+            assert activations == 3 and not est.buffers
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_report_needs_a_sample(self, algorithm):
         est = make_estimator(any_config(algorithm, n=2, m=4, T=8, eps=1.0, delta=0.1))
@@ -685,7 +784,7 @@ class TestRejectedEvents:
         with pytest.raises(ValueError, match="longer than configured T"):
             est.step(StreamEvent(t=4, user=2, value=1.0))
         assert (est.t, est.counts, est.total) == (twin.t, twin.counts, twin.total)
-        assert est.supply.hist == twin.supply.hist and est.diversity() == twin.diversity()
+        assert est.supply.at_least == twin.supply.at_least and est.diversity() == twin.diversity()
         assert est.mechanisms[0].noisy_partial_sums == twin.mechanisms[0].noisy_partial_sums
 
 

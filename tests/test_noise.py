@@ -13,12 +13,22 @@ from contmean.noise import BudgetExceededError, BudgetLedger, exp_mechanism_samp
 class TestLaplace:
     def test_zero_scale_is_exact_zero(self):
         rng = spawn_rng(123, 0)
+        state = rng.bit_generator.state
         assert laplace(0.0, rng) == 0.0
         assert np.all(laplace(0.0, rng, size=10) == 0.0)
+        assert rng.bit_generator.state == state  # nothing was drawn
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             laplace(-1.0, spawn_rng(0, 0))
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("size", [None, 4])
+    def test_nonfinite_scale_rejected(self, scale, size):
+        # NaN slips past ``scale < 0``, and it or infinity would come back
+        # as the draw itself
+        with pytest.raises(ValueError, match="finite"):
+            laplace(scale, spawn_rng(0, 0), size=size)
 
     def test_moments_match_closed_form(self):
         # mean 0 and Var = 2 b^2 for Lap(b)
@@ -101,6 +111,12 @@ class TestExpMechanism:
         emp = np.array([(draws == i).mean() for i in range(len(costs))])
         tv = 0.5 * np.abs(emp - probs).sum()
         assert tv <= 0.02
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_eps_rejected(self, eps):
+        # NaN and infinite eps used to return the first candidate
+        with pytest.raises(ValueError, match="eps"):
+            exp_mechanism_sample([("a", 0.0), ("b", 1.0)], eps, spawn_rng(0, 0))
 
     def test_log_sum_exp_stability_with_huge_costs(self):
         # weights underflow without stabilization; the min-cost candidate wins
