@@ -10,7 +10,6 @@ sums over that decomposition makes an append O(1) amortized and a query O(1).
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from copy import deepcopy
@@ -169,15 +168,9 @@ class BinaryMechanism:
         return (k - (k & -k) + 1, k)
 
     def dump_rows(self) -> list[tuple[int, int, int, float]]:
-        """(index, block_start, block_end, noisy_value) rows for the auditor."""
+        """One (index, block_start, block_end, noisy_value) row per stored
+        partial sum."""
         return [(k, *self.block_of(k), self._nps[k - 1]) for k in range(1, len(self._nps) + 1)]
-
-    def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "block_start", "block_end", "noisy_value"])
-            for row in self.dump_rows():
-                writer.writerow([row[0], row[1], row[2], repr(row[3])])
 
     def extend(self, xs: Iterable[float]) -> None:
         for x in xs:

@@ -260,6 +260,11 @@ class TraceRecord:
     times as much to build, so this one is not frozen.  The record ``step``
     returns is the one it keeps in ``records``: treat it as read-only and
     use ``dataclasses.replace`` for a changed copy.
+
+    ``clip`` depends on raw block sums: it is value-dependent and not
+    private, so ``flags_str``, hence ``write_trace``, leaves it out.  The
+    other fields are the private estimate, ``oob`` (a function of it), or
+    functions of the arrival pattern, which is treated as public.
     """
 
     t: int
@@ -271,7 +276,9 @@ class TraceRecord:
     flags: tuple[str, ...]
 
     def flags_str(self) -> str:
-        tokens = list(self.flags)
+        """The flags field as written: every flag but ``clip``, then the
+        active levels as ``act=``."""
+        tokens = [tok for tok in self.flags if tok != "clip"]
         if self.active_levels is not None:
             tokens.append("act=" + "-".join(str(lv) for lv in self.active_levels))
         return ";".join(tokens)
@@ -292,7 +299,8 @@ def write_trace(records, path) -> None:
     """Write trace records as CSV rows ``t,user,estimate,total,M_t,flags``.
 
     Rows are written as ``csv.writer`` writes them, CRLF included: no field
-    needs quoting, since flags come from a fixed comma-free vocabulary.
+    needs quoting, since flags come from a fixed comma-free vocabulary.  The
+    flags field is ``flags_str``, without the value-dependent ``clip``.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\r\n")
@@ -656,14 +664,18 @@ class WishfulEstimator(NaiveEstimator):
 
 
 class WithholdReleaseEstimator(_EstimatorBase):
-    """The withhold-release schedule: ``single`` and ``multi``, and the
-    base of ``full``.
+    """The withhold-release schedule: ``single``, ``multi`` and ``full``.
 
     Each released block is projected onto its level's interval, if the level
     has one, then fed to counter 0 when the privacy table has one counter,
-    else to its level's counter.  With a supplied prior, levels 1 and up get
-    intervals centred on it at construction; ``full`` sets a level's when it
-    activates.  ``clip_disabled`` leaves every level without one.
+    else to its level's counter.  The three differ only in data, decided by
+    whether a prior is supplied.  With one (``single``, ``multi``), levels 1
+    and up get intervals centred on it at construction and no level waits.
+    Without one (``full``), levels 2 and up wait: each buffers its blocks,
+    outside the estimate, until enough distinct users pay for a
+    private-median prior at its scale; activation sets the level's interval
+    and flushes its buffer.  ``clip_disabled`` leaves every level without
+    an interval.
     """
 
     def __init__(self, config: EstimatorConfig):
@@ -679,6 +691,22 @@ class WithholdReleaseEstimator(_EstimatorBase):
             for lv in range(levels)
         ]
         self._sums = [0.0] * len(self.mechanisms)  # each counter's noisy sum
+        # a level waits exactly while it holds a buffer
+        waiting = range(2, levels) if config.prior is None else ()
+        self.buffers: dict[int, list[float]] = {lv: [] for lv in waiting}
+        self.priors: dict[int, float] = {}
+        # each user's first 2^(L-1) events: the most any level's median reads
+        self._history: list[StreamEvent] = []
+        self._history_cap = 1 << (levels - 2) if self.buffers else 0
+        # the capped sum at the lowest waiting level, tracked until the last
+        # activation, and that level's threshold
+        self._gate: CappedSum | None = None
+        self._need = math.inf
+        if self.buffers:
+            cap, self._need = self._gate_at(2)
+            self._gate = self.supply.track(cap)
+        if config.prior is None:
+            self._active = (0, 1)
 
     def copy(self) -> WithholdReleaseEstimator:
         twin = super().copy()
@@ -687,61 +715,10 @@ class WithholdReleaseEstimator(_EstimatorBase):
         twin._feeds = self._feeds
         twin._intervals = self._intervals[:]
         twin._sums = self._sums[:]
-        return twin
-
-    def _process(self, event: StreamEvent, count: int) -> bool:
-        released = self.ledger.record(event.user, event.value, count)
-        if released is None:
-            return False
-        return self._release(*released)
-
-    def _release(self, level: int, block_sum: float, block_size: int) -> bool:
-        """Feed one block to its level's counter; return whether it was clipped."""
-        interval = self._intervals[level]
-        sigma = block_sum if interval is None else project(interval, block_sum, block_size)
-        i = self._feeds[level]
-        mech = self.mechanisms[i]
-        mech.append(sigma)
-        sums = self._sums
-        sums[i] = mech.sum()
-        self._sum = math.fsum(sums)
-        self.total += block_size
-        return sigma != block_sum
-
-
-class FullEstimator(WithholdReleaseEstimator):
-    """No prior needed: levels >= 2 buffer their blocks until enough
-    distinct users justify a private-median prior, then flush."""
-
-    def __init__(self, config: EstimatorConfig):
-        super().__init__(config)
-        levels = range(2, len(self.mechanisms))
-        # a level is inactive exactly while it holds a buffer
-        self.buffers: dict[int, list[float]] = {lv: [] for lv in levels}
-        self.priors: dict[int, float] = {}
-        # each user's first 2^(L-1) events: the most any level's median reads
-        self._history: list[StreamEvent] = []
-        self._history_cap = 1 << (len(self.mechanisms) - 2) if self.buffers else 0
-        # per level: its median's array size and the supply that fills its
-        # arrays, sum_u min(M(u), array size) >= arrays * array size
-        self._needs = {}
-        for lv in levels:
-            row = self._prior_row(lv)
-            size = array_size(lv)
-            self._needs[lv] = (size, arrays_required(row.share, lv, row.beta) * size)
-        # that sum at the lowest inactive level, tracked until the last
-        # activation, and that level's threshold
-        self._gate = self.supply.track(self._needs[2][0]) if self.buffers else None
-        self._need = self._needs[2][1] if self.buffers else math.inf
-        self._active = (0, 1)
-
-    def copy(self) -> FullEstimator:
-        twin = super().copy()
         twin.buffers = {lv: vals[:] for lv, vals in self.buffers.items()}
         twin.priors = dict(self.priors)
         twin._history = self._history[:]
         twin._history_cap = self._history_cap
-        twin._needs = self._needs
         twin._gate = None if self._gate is None else self._twin_sum(twin, self._gate)
         twin._need = self._need
         return twin
@@ -753,8 +730,16 @@ class FullEstimator(WithholdReleaseEstimator):
     def buffered_sample_count(self) -> int:
         return sum(array_size(lv) * len(vals) for lv, vals in self.buffers.items())
 
-    def _prior_row(self, level: int):
-        return self.table[level - 1]  # the prior rows of levels 1..L lead the table
+    def _prior_row(self, level: int) -> PrivacyRow:
+        return self.table[level - 1]  # without a prior, the rows of priors 1..L lead the table
+
+    def _gate_at(self, level: int) -> tuple[int, float]:
+        """The gate's cap and threshold at a waiting ``level``: its median's
+        array size, and the supply that fills its arrays,
+        sum_u min(M(u), array size) >= arrays * array size."""
+        row = self._prior_row(level)
+        size = array_size(level)
+        return size, arrays_required(row.share, level, row.beta) * size
 
     def _median_request(self, level: int) -> MedianRequest:
         row = self._prior_row(level)
@@ -775,7 +760,7 @@ class FullEstimator(WithholdReleaseEstimator):
         self._active += (level,)
         gate = self._gate
         if self.buffers:
-            gate.cap, self._need = self._needs[next(iter(self.buffers))]
+            gate.cap, self._need = self._gate_at(next(iter(self.buffers)))
             gate.value = self.supply.capped_sum(gate.cap)
         else:
             self.supply.untrack(gate)
@@ -785,28 +770,45 @@ class FullEstimator(WithholdReleaseEstimator):
             self._history_cap = 0
 
     def _process(self, event: StreamEvent, count: int) -> bool:
-        if count < self._history_cap:
-            self._history.append(event)
-        # activation reads the post-increment counts (``step`` has already
-        # moved this user in ``supply``) and runs before this event's own
-        # release is routed.  Levels activate in ascending order: level l+1's
-        # capped sum is at most twice level l's, and its threshold (arrays
-        # twice as long, and no fewer) at least twice level l's, so only the
-        # lowest inactive level, the one ``_gate`` tracks against ``_need``,
-        # can be next.
-        gate = self._gate
-        while gate is not None and gate.value >= self._need:
-            self._activate(next(iter(self.buffers)))
-            gate = self._gate
+        gate = self._gate  # None while no level waits
+        if gate is not None:
+            if count < self._history_cap:
+                self._history.append(event)
+            # activation reads the post-increment counts (``step`` has
+            # already moved this user in ``supply``) and runs before this
+            # event's own release is routed.  Levels activate in ascending
+            # order: level l+1's capped sum is at most twice level l's, and
+            # its threshold (arrays twice as long, and no fewer) at least
+            # twice level l's, so only the lowest waiting level, the one
+            # ``gate`` tracks against ``_need``, can be next.  The last
+            # activation sets ``_need`` to infinity.
+            while gate.value >= self._need:
+                self._activate(next(iter(self.buffers)))
         released = self.ledger.record(event.user, event.value, count)
         if released is None:
             return False
         level, block_sum, block_size = released
-        buffer = self.buffers.get(level)
-        if buffer is not None:
-            buffer.append(block_sum)
-            return False
+        if gate is not None:
+            buffer = self.buffers.get(level)
+            if buffer is not None:
+                buffer.append(block_sum)
+                return False
+        # on CPython 3.11 a call with unpacked arguments costs about half
+        # of ``_release(*released)``, which the interpreter cannot specialise
         return self._release(level, block_sum, block_size)
+
+    def _release(self, level: int, block_sum: float, block_size: int) -> bool:
+        """Feed one block to its level's counter; return whether it was clipped."""
+        interval = self._intervals[level]
+        sigma = block_sum if interval is None else project(interval, block_sum, block_size)
+        i = self._feeds[level]
+        mech = self.mechanisms[i]
+        mech.append(sigma)
+        sums = self._sums
+        sums[i] = mech.sum()
+        self._sum = math.fsum(sums)
+        self.total += block_size
+        return sigma != block_sum
 
 
 _CLASSES = {
@@ -814,7 +816,7 @@ _CLASSES = {
     "wishful": WishfulEstimator,
     "single": WithholdReleaseEstimator,
     "multi": WithholdReleaseEstimator,
-    "full": FullEstimator,
+    "full": WithholdReleaseEstimator,
 }
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "MedianRequest",
     "array_size",
     "arrays_required",
-    "pack_arrays",
     "prior_array_count",
     "private_median",
     "utility_radius",
@@ -118,10 +117,6 @@ class BinGrid:
         mids = tuple((lo + hi) / 2.0 for lo, hi in zip(edges, edges[1:]))
         return cls(width=width, midpoints=mids)
 
-    def nearest_midpoint(self, y: float) -> float:
-        """Closest midpoint to y; ties break toward the smaller midpoint."""
-        return float(self.snap(np.array([y], dtype=float))[0])
-
     def snap(self, ys: np.ndarray) -> np.ndarray:
         """Closest midpoint to each of ``ys``.  Midpoints are scanned in
         ascending order and a later one wins only if it is closer by more
@@ -138,7 +133,14 @@ class BinGrid:
 
 
 def _pack(request: MedianRequest) -> np.ndarray:
-    """The (k, 2^(level-1)) float64 array of ``pack_arrays``."""
+    """Fill k arrays of 2^(level-1) samples from per-user contributions, as
+    the rows of a (k, 2^(level-1)) float64 array.
+
+    Users are visited in ascending user id; each contributes its first
+    min(count, 2^(level-1)) samples in arrival order, written contiguously,
+    so no user spans more than two arrays.  Packing stops once the last
+    array is full; raises if the history cannot fill all arrays.
+    """
     k = request.arrays_required
     size = request.array_size
     history = request.history
@@ -169,17 +171,6 @@ def _pack(request: MedianRequest) -> np.ndarray:
             f"{len(kept)} user-capped samples are available"
         )
     return values[kept[: k * size]].reshape(k, size)
-
-
-def pack_arrays(request: MedianRequest) -> list[list[float]]:
-    """Fill k arrays of 2^(level-1) samples from per-user contributions.
-
-    Users are visited in ascending user id; each contributes its first
-    min(count, 2^(level-1)) samples in arrival order, written contiguously,
-    so no user spans more than two arrays.  Packing stops once the last
-    array is full; raises if the history cannot fill all arrays.
-    """
-    return _pack(request).tolist()
 
 
 def private_median(request: MedianRequest, rng: np.random.Generator) -> float:

@@ -113,10 +113,6 @@ class BudgetLedger:
     def spent(self) -> float:
         return math.fsum(e for _, e in self.entries)
 
-    @property
-    def remaining(self) -> float:
-        return self.total_eps - self.spent
-
     def charge(self, label: str, eps: float) -> "BudgetLedger":
         if not 0 < eps < math.inf:
             raise ValueError(f"charge must be positive and finite, got {eps} for {label!r}")

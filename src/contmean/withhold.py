@@ -91,6 +91,3 @@ class UserLedger:
 
     def samples_seen(self) -> int:
         return sum(self.counts.values())
-
-    def count_of(self, user_id: int) -> int:
-        return self.counts.get(user_id, 0)

@@ -226,12 +226,19 @@ def reference_private_median(request, rng):
 
 
 def reference_trace_csv(records):
-    """Bytes of a trace CSV written row by row through ``csv.writer``."""
+    """Bytes of a trace CSV written row by row through ``csv.writer``.
+
+    The flags field leaves out ``clip``, which depends on raw values, and
+    ends with ``act=`` and the active levels when a record has them.
+    """
     fh = io.StringIO(newline="")
     writer = csv.writer(fh)
     writer.writerow(["t", "user", "estimate", "total", "M_t", "flags"])
     for r in records:
-        writer.writerow([r.t, r.user, repr(r.estimate), r.total, r.max_count, r.flags_str()])
+        tokens = [tok for tok in r.flags if tok != "clip"]
+        if r.active_levels is not None:
+            tokens.append("act=" + "-".join(map(str, r.active_levels)))
+        writer.writerow([r.t, r.user, repr(r.estimate), r.total, r.max_count, ";".join(tokens)])
     return fh.getvalue().encode()
 
 

@@ -147,13 +147,8 @@ class TestInfluence:
 
 
 class TestDump:
-    def test_dump_rows_structure(self, tmp_path):
+    def test_dump_rows_structure(self):
         mech = BinaryMechanism(0.0, spawn_rng(0, 0), label="demo")
         mech.extend([1.0, 1.0, 1.0])
         rows = mech.dump_rows()
         assert rows == [(1, 1, 1, 1.0), (2, 1, 2, 2.0), (3, 3, 3, 1.0)]
-        path = tmp_path / "dump.csv"
-        mech.dump_csv(path)
-        text = path.read_text().splitlines()
-        assert text[0] == "index,block_start,block_end,noisy_value"
-        assert len(text) == 4

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -398,25 +399,34 @@ class TestFullHistory:
 
 
 class TestFullGates:
-    """``full`` tracks one capped sum, at the lowest inactive level, and
-    none once every level is active."""
+    """``full`` tracks one capped sum, at the lowest inactive level, against
+    that level's activation threshold, and none once every level is active.
+    ``single`` and ``multi`` share its class and never hold a gate, a buffer
+    or history."""
 
     @pytest.mark.parametrize("ordering", ["uniform_random", "single_user_prefix", "round_robin"])
-    def test_gates_are_the_buffered_levels(self, ordering):
-        n, m = 300, 16
+    @pytest.mark.parametrize("algorithm", ["single", "multi", "full"])
+    def test_gates_are_the_buffered_levels(self, algorithm, ordering):
+        n, m, eps, delta = 300, 16, 50.0, 0.5
         events = generate(0.5, n, m, 200, OrderingSpec(ordering), seed=1)
-        est = make_estimator(EstimatorConfig(algorithm="full", n=n, m=m, eps=50.0, delta=0.5, seed=1))
+        est = make_estimator(any_config(algorithm, n=n, m=m, T=len(events), eps=eps, delta=delta, seed=1))
         for ev in events:
             est.step(ev)
             gate = est._gate
             assert (gate is not None) == bool(est.buffers)
             if gate is not None:
-                assert gate.cap == 1 << (min(est.buffers) - 1)  # that level's median array size
-                assert est._need == est._needs[min(est.buffers)][1]  # and its threshold
+                level = min(est.buffers)
+                assert gate.cap == 1 << (level - 1)  # that level's median array size
+                assert est._need == activation_threshold(level, m, eps, delta)  # and its threshold
                 assert any(gate is s for s in est.supply.sums)
                 assert gate.value == est.supply.capped_sum(gate.cap)
+            else:
+                assert est._need == math.inf
             assert len(est.supply.sums) == est.config.track_diversity + (gate is not None)
-        assert sorted(est.priors) == [2, 3, 4] and est._gate is None
+            if algorithm != "full":
+                assert gate is None and est.buffers == {} and est._history == [] and est.inactive == set()
+        assert est._gate is None
+        assert sorted(est.priors) == ([2, 3, 4] if algorithm == "full" else [])
 
 
 @st.composite
@@ -883,13 +893,85 @@ class TestTraceBytes:
             dataclasses.replace(last, estimate=5e-324, flags=(), active_levels=()),
             dataclasses.replace(last, estimate=-1e300, flags=("clip",), active_levels=(0,)),
         ])
+        assert any("clip" in r.flags for trace in traces for r in trace)
         tokens = {tok for trace in traces for r in trace for tok in r.flags_str().split(";")}
-        assert {"nodata", "clip", "oob", "div", ""} <= tokens
+        assert {"nodata", "oob", "div", ""} <= tokens and "clip" not in tokens
         assert any(tok.startswith("act=0-1-") for tok in tokens)
         for i, trace in enumerate(traces + [[r for trace in traces for r in trace], []]):
             path = tmp_path / f"trace_{i}.csv"
             write_trace(trace, path)
             assert path.read_bytes() == reference_trace_csv(trace)
+
+
+def _events_from(order, per_user):
+    """Events of users in ``order``; a user's k-th event takes its k-th value."""
+    seen: dict[int, int] = {}
+    values = []
+    for u in order:
+        k = seen[u] = seen.get(u, 0) + 1
+        values.append(per_user[u][k - 1])
+    return events_of(order, values)
+
+
+@st.composite
+def neighbour_cases(draw):
+    """(n, m, eps, seed, prior, order, per_user, victim, victim_values): one
+    arrival order and per-user values; the neighbour gives ``victim``
+    ``victim_values`` instead."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([2, 3, 8, 64]))
+    order = draw(st.permutations([u for u in range(1, n + 1) for _ in range(m)]))
+    order = order[: draw(st.integers(1, len(order)))]
+    values = st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=m, max_size=m)
+    per_user = {u: draw(values) for u in range(1, n + 1)}
+    return (
+        n, m, draw(st.sampled_from([1.0, 50.0, 3000.0])), draw(st.integers(0, 3)),
+        draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])), order, per_user,
+        draw(st.sampled_from(order)), draw(values),
+    )
+
+
+def written_rows(config, events) -> list[str]:
+    est = make_estimator(config)
+    est.run(events)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace(est.records, path)
+        return path.read_text().splitlines()
+
+
+class TestTraceNeighbours:
+    """A written trace is private: value-neighbouring streams (same arrival
+    order, one user's values changed) give traces that differ only in the
+    noisy ``estimate`` and the ``oob`` flag computed from it."""
+
+    @staticmethod
+    def public_fields(rows):
+        out = [rows[0]]
+        for row in rows[1:]:
+            t, user, _estimate, total, max_count, flags = row.split(",")
+            out.append((t, user, total, max_count, [tok for tok in flags.split(";") if tok not in ("", "oob")]))
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(neighbour_cases())
+    # user 1's unit samples clip blocks that user 1's 0.1s do not
+    @example((2, 64, 1.0, 3, 0.1, [1, 2] * 64, {1: [0.1] * 64, 2: [0.1] * 64}, 1, [1.0] * 64))
+    def test_only_estimate_and_oob_differ(self, case):
+        n, m, eps, seed, prior, order, per_user, victim, victim_values = case
+        neighbour = {**per_user, victim: victim_values}
+        # wishful takes each user's m samples in a row, in order of first arrival
+        contiguous = [u for u in dict.fromkeys(order) for _ in range(m)][: len(order)]
+        leaky = []
+        for algorithm in ALGORITHMS:
+            arrival = contiguous if algorithm == "wishful" else order
+            kw = {"prior": prior} if algorithm in ("wishful", "single", "multi") else {}
+            config = any_config(algorithm, n=n, m=m, T=len(order), eps=eps, delta=0.1, seed=seed, **kw)
+            a, b = (self.public_fields(written_rows(config, _events_from(arrival, values)))
+                    for values in (per_user, neighbour))
+            if a != b:
+                leaky.append(algorithm)
+        assert leaky == []
 
 
 class TestTraceRecord:

@@ -13,7 +13,7 @@ from contmean.median import (
     BinGrid,
     InsufficientDiversityError,
     MedianRequest,
-    pack_arrays,
+    _pack,
     prior_array_count,
     private_median,
     utility_radius,
@@ -86,12 +86,12 @@ class TestBinGrid:
     def test_quantization_error_within_half_width(self):
         for level in (2, 3, 4, 6, 8):
             grid = BinGrid.for_level(level)
-            for y in np.linspace(0, 1, 257):
-                assert abs(grid.nearest_midpoint(float(y)) - y) <= 2.0 ** (-level / 2) + 1e-12
+            ys = np.linspace(0, 1, 257)
+            assert np.all(np.abs(grid.snap(ys) - ys) <= 2.0 ** (-level / 2) + 1e-12)
 
     def test_edge_ties_break_toward_smaller(self):
         grid = BinGrid.for_level(4)  # bins [0,.5],[.5,1]; midpoints .25,.75
-        assert grid.nearest_midpoint(0.5) == 0.25
+        assert grid.snap(np.array([0.5])).tolist() == [0.25]
 
 
 class TestPacking:
@@ -99,13 +99,13 @@ class TestPacking:
         history = make_history({1: [0.1], 2: [0.9], 3: [0.4]})
         req = MedianRequest(history=history, eps=16.0, level=1, beta=2 / math.e)
         assert req.arrays_required == 1 and req.array_size == 1
-        assert pack_arrays(req) == [[0.1]]
+        assert _pack(req).tolist() == [[0.1]]
 
     def test_single_user_fills_exactly_one_array(self):
         history = make_history({1: [1.0, 0.0, 1.0, 1.0], 2: [0.5] * 4})
         req = MedianRequest(history=history, eps=32.0, level=3, beta=2 / math.e)
         assert req.array_size == 4 and req.arrays_required == 1
-        assert pack_arrays(req) == [[1.0, 0.0, 1.0, 1.0]]
+        assert _pack(req).tolist() == [[1.0, 0.0, 1.0, 1.0]]
 
     def test_caps_per_user_contribution(self):
         # users hold more than 2^(level-1) samples; only the first ones count
@@ -113,7 +113,7 @@ class TestPacking:
         eps = (16.0 / 1.9) * math.log(2.0 / 0.9)  # two arrays required
         req = MedianRequest(history=history, eps=eps, level=2, beta=0.9)
         assert req.arrays_required == 2
-        arrays = pack_arrays(req)
+        arrays = _pack(req).tolist()
         assert arrays == [[1.0, 1.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize(
@@ -131,12 +131,12 @@ class TestPacking:
         eps = 16.0 * math.log(2.0 / 0.5) / 5  # five arrays of two
         req = MedianRequest(history=make_history(per_user), eps=eps, level=2, beta=0.5)
         assert req.arrays_required == 5
-        assert pack_arrays(req) == reference_pack(per_user, 5, 2) == reference_pack_arrays(req)
+        assert _pack(req).tolist() == reference_pack(per_user, 5, 2) == reference_pack_arrays(req)
 
     def test_insufficient_diversity_raises(self):
         history = make_history({1: [1.0] * 100})
         with pytest.raises(InsufficientDiversityError):
-            pack_arrays(MedianRequest(history=history, eps=1.0, level=3, beta=0.1))
+            _pack(MedianRequest(history=history, eps=1.0, level=3, beta=0.1))
 
     def test_exhaustive_against_reference_and_two_array_rule(self):
         # all per-user sample-count profiles with n <= 4 users, levels <= 3
@@ -157,7 +157,7 @@ class TestPacking:
                     history=make_history(per_user), eps=eps, level=level, beta=0.5
                 )
                 assert req.arrays_required == k
-                arrays = pack_arrays(req)
+                arrays = _pack(req).tolist()
                 assert arrays == reference_pack(per_user, k, size)
                 # every user's samples land in at most two arrays
                 for u in per_user:
@@ -185,7 +185,7 @@ class TestPrivateMedian:
         grid = BinGrid.for_level(level)
         fail_bound = len(grid.midpoints) * math.exp(-eps * k / 4)
         trials = 400
-        star = grid.nearest_midpoint(1.0)
+        star = float(grid.snap(np.array([1.0]))[0])
         hits = sum(private_median(req, spawn_rng(s, 1)) == star for s in range(trials))
         assert hits / trials >= 1 - fail_bound - 0.05
 
@@ -203,8 +203,8 @@ class TestPrivateMedian:
             req = MedianRequest(
                 history=make_history(users_dict), eps=eps, level=level, beta=0.5
             )
-            arrays = pack_arrays(req)
-            snapped = [grid.nearest_midpoint(float(np.mean(a))) for a in arrays]
+            arrays = _pack(req).tolist()
+            snapped = grid.snap(np.array([np.mean(a) for a in arrays])).tolist()
             return [
                 max(sum(s < y for s in snapped), sum(s > y for s in snapped))
                 for y in grid.midpoints
@@ -290,7 +290,7 @@ class TestArrayOracle:
     @settings(max_examples=150, deadline=None)
     @given(median_requests(), st.integers(0, 2**16))
     def test_matches_loop_reference(self, req, seed):
-        packed = outcome(pack_arrays, req)
+        packed = outcome(lambda r: _pack(r).tolist(), req)
         assert packed == outcome(reference_pack_arrays, req)
         if isinstance(packed, tuple):
             assert outcome(private_median, req, spawn_rng(seed, 2)) == packed
@@ -310,7 +310,6 @@ class TestArrayOracle:
             ys += [y + d for d in (0.0, -2e-15, -1e-15, -5e-16, -1e-16, 1e-16, 5e-16, 1e-15, 2e-15)]
         snapped = grid.snap(np.array(ys))
         assert snapped.tolist() == [reference_nearest_midpoint(grid.midpoints, y) for y in ys]
-        assert [grid.nearest_midpoint(y) for y in ys] == snapped.tolist()
 
     def test_level_six_median_memory(self):
         # a history about as long as ``full`` keeps for its level-6 prior at
@@ -321,7 +320,7 @@ class TestArrayOracle:
         values = (rng.random(50_000) < 0.5).astype(float)
         history = tuple(StreamEvent(t + 1, int(u), float(v)) for t, (u, v) in enumerate(zip(users, values)))
         request = MedianRequest(history=history, eps=0.5, level=6, beta=0.1)
-        assert len(pack_arrays(request)) == request.arrays_required  # warm imports and caches
+        assert len(_pack(request)) == request.arrays_required  # warm imports and caches
         tracemalloc.start()
         try:
             private_median(request, spawn_rng(0, 2, 6))

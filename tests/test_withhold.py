@@ -76,7 +76,7 @@ class TestReleasedInfoCount:
         ledger = UserLedger()
         for i in range(1, 101):
             ledger.on_sample(3, 1.0)
-            m = ledger.count_of(3)
+            m = ledger.counts[3]
             expected = 0 if m & (m - 1) == 0 else m - (1 << (m.bit_length() - 1))
             assert len(ledger.pending.get(3, [])) == expected
 
@@ -113,7 +113,7 @@ class TestBlockPartition:
         for u in users:
             d = ledger.on_sample(u, 1.0)
             if d.released:
-                hi = ledger.count_of(u)
+                hi = ledger.counts[u]
                 lo = hi - d.block_size + 1
                 covered.setdefault(u, []).append((lo, hi))
                 assert d.block_sum == float(d.block_size)  # unit values sum to size
