@@ -285,14 +285,23 @@ class TraceRecord:
 
 
 def _trace_lines(records):
-    # one flags field per distinct (flags, active levels) pair
+    # one flags field per distinct (flags, active levels) pair, and one
+    # estimate text per run of equal estimates: a withhold-release estimate
+    # changes only on a release.  A zero is formatted afresh, as 0.0 == -0.0,
+    # and so is a change of type, as 1 == 1.0 (an int prior is published
+    # as given)
     tails: dict = {}
+    last = text = None
     for r in records:
         key = (r.flags, r.active_levels)
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = r.flags_str()
-        yield f"{r.t},{r.user},{r.estimate!r},{r.total},{r.max_count},{tail}\r\n"
+        estimate = r.estimate
+        if estimate != last or not estimate or estimate.__class__ is not last.__class__:
+            last = estimate
+            text = repr(estimate)
+        yield f"{r.t},{r.user},{text},{r.total},{r.max_count},{tail}\r\n"
 
 
 def write_trace(records, path) -> None:

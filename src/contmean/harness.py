@@ -2,6 +2,11 @@
 
 ``run`` executes seeded Monte-Carlo trials of one estimator configuration
 and reduces per-checkpoint absolute errors to median/quantile summaries.
+A trial's events are stepped without a Python loop per event: ``step`` is
+mapped over the stream, the record at each checkpoint is the last one a
+``deque`` of length one keeps from an ``islice`` up to it, and the rest of
+the stream is drained the same way.  The events are handed out from the
+end of the reversed list, so each one is freed as soon as it is stepped.
 ``sweep`` runs a cartesian grid of such experiments.  ``audit_sensitivity``
 replays an estimator noiselessly on a stream and on user-level neighbors of
 it (one user's values replaced adversarially over the {0,1} grid) and
@@ -22,8 +27,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import numbers
 from array import array
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -54,6 +62,13 @@ _BLOCK_ENTRIES = 1 << 16  # the most pair differences held at once, over all cou
 # Experiments
 
 
+def _require_int(field: str, value) -> None:
+    # a float time would pass every comparison and fail only mid-run, and
+    # a bool would stand for 0 or 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field}: {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One Monte-Carlo experiment: a config, a source, and checkpoints."""
@@ -66,6 +81,11 @@ class ExperimentSpec:
     stream_len: int | None = None
 
     def __post_init__(self):
+        _require_int("trials", self.trials)
+        for c in self.checkpoints:
+            _require_int("checkpoints", c)
+        if self.stream_len is not None:
+            _require_int("stream_len", self.stream_len)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.checkpoints:
@@ -123,23 +143,29 @@ def run(spec: ExperimentSpec, out_dir=None, write_traces: bool = True) -> RunSum
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    wanted = set(spec.checkpoints)
     errors = np.empty((spec.trials, len(spec.checkpoints)))
     trace_paths: list[Path] = []
+    keep = write_traces and out_path is not None
     for trial in range(spec.trials):
         stream_seed = _child_seed(spec.config.seed, 3, trial)
         est_seed = _child_seed(spec.config.seed, 4, trial)
         events = generate(
             spec.mu, spec.config.n, spec.config.m, spec.length, spec.ordering, stream_seed
         )
-        keep = write_traces and out_path is not None
         est = make_estimator(dataclasses.replace(spec.config, seed=est_seed, keep_trace=keep))
-        at_checkpoint: dict[int, float] = {}
-        for ev in events:
-            record = est.step(ev)
-            if record.t in wanted:
-                at_checkpoint[record.t] = record.estimate
-        errors[trial] = [abs(at_checkpoint[t] - spec.mu) for t in spec.checkpoints]
+        # hand the events out first to last, each dropped from the list as
+        # it is stepped; the None put first ends the feed
+        events.append(None)
+        events.reverse()
+        feed = iter(events.pop, None)
+        steps = map(est.step, feed)
+        stepped = 0
+        for i, t in enumerate(spec.checkpoints):
+            if t > stepped:
+                estimate = deque(islice(steps, t - stepped), maxlen=1)[0].estimate
+                stepped = t
+            errors[trial, i] = abs(estimate - spec.mu)
+        deque(steps, maxlen=0)
         if keep:
             trace_path = out_path / f"trace_{trial:04d}.csv"
             write_trace(est.records, trace_path)

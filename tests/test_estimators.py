@@ -893,6 +893,19 @@ class TestTraceBytes:
             dataclasses.replace(last, estimate=5e-324, flags=(), active_levels=()),
             dataclasses.replace(last, estimate=-1e300, flags=("clip",), active_levels=(0,)),
         ])
+        # runs of equal estimates: zeros of either sign, NaN (unequal to
+        # itself), an int prior next to its float, and a repeated estimate
+        # whose total or flags change
+        traces.append([
+            dataclasses.replace(last, t=t, estimate=x, total=total, flags=flags)
+            for t, (x, total, flags) in enumerate([
+                (0.0, 0, ()), (-0.0, 0, ()), (0.0, 0, ()), (-0.0, 1, ()), (-0.0, 1, ()),
+                (math.nan, 1, ()), (math.nan, 1, ()), (-math.nan, 2, ()),
+                (1, 2, ()), (1.0, 2, ()), (1, 2, ()), (1, 3, ()),
+                (0.25, 3, ()), (0.25, 4, ()), (0.25, 4, ("div",)), (0.25, 4, ("oob", "div")),
+                (0.25, 5, ("clip",)), (0.5, 5, ("clip",)), (0.25, 5, ("clip",)),
+            ], start=1)
+        ])
         assert any("clip" in r.flags for trace in traces for r in trace)
         tokens = {tok for trace in traces for r in trace for tok in r.flags_str().split(";")}
         assert {"nodata", "oob", "div", ""} <= tokens and "clip" not in tokens

@@ -1,5 +1,6 @@
 """Experiment runner, sweeps, sensitivity audits, CLI."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ from contmean.harness import (
     sweep,
 )
 from contmean.streams import OrderingSpec, StreamEvent, generate, write_stream
-from oracles import reference_audit_sensitivity, reference_audit_value_grid
+from oracles import reference_audit_sensitivity, reference_audit_value_grid, reference_trace_csv
 
 
 def spec_for(algorithm="naive", *, n=4, m=8, eps=1.0, trials=2, checkpoints=(4, 16), **kw):
@@ -97,6 +99,104 @@ class TestRun:
         object.__setattr__(spec, "stream_len", 8)
         with pytest.raises(ValueError):
             run(spec)
+
+
+class TestSpecFields:
+    """Trials, checkpoints and the stream length are counts of events."""
+
+    BAD = [
+        ("trials", 2.0), ("trials", True), ("checkpoints", (4, 8.5)), ("checkpoints", (8.0,)),
+        ("checkpoints", (True, 4)), ("stream_len", 16.0), ("stream_len", False), ("trials", "2"),
+    ]
+
+    @pytest.mark.parametrize("field,value", BAD)
+    def test_non_integer_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            dataclasses.replace(spec_for("naive"), **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = dataclasses.replace(
+            spec_for("naive", T=16), trials=np.int64(2), checkpoints=(np.int32(16), 4), stream_len=np.int64(16)
+        )
+        assert spec.checkpoints == (4, 16)
+        assert run(spec).median_abs_error == run(spec_for("naive", T=16)).median_abs_error
+
+    @pytest.mark.parametrize("field,value", [(f, v) for f, v in BAD if not isinstance(v, tuple)] + [
+        ("checkpoints", [4, 8.5]), ("checkpoints", [1024.0]), ("checkpoints", [True]),
+    ])
+    def test_cli_exit_code_two(self, tmp_path, capsys, field, value):
+        run_spec = {
+            "algorithm": "naive", "n": 4, "m": 256, "eps": 1.0, "delta": 0.1, "T": 1024,
+            "mu": 0.5, "ordering": "round_robin", "trials": 1, "checkpoints": [4], field: value,
+        }
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(run_spec))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"precondition violation: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def replay_spec(algorithm, checkpoints, stream_len=None):
+    """A three-trial spec over n=4 users of m=8 samples; ``wishful`` gets
+    the user-contiguous ordering it needs."""
+    spec = spec_for(algorithm, trials=3, checkpoints=checkpoints, T=stream_len or max(checkpoints))
+    ordering = OrderingSpec("contiguous" if algorithm == "wishful" else "uniform_random")
+    return dataclasses.replace(spec, ordering=ordering, stream_len=stream_len)
+
+
+def replay(spec):
+    """Each trial of ``spec`` stepped event by event, as a plain loop:
+    (per-trial checkpoint errors, per-trial records)."""
+    errors, traces = [], []
+    for trial in range(spec.trials):
+        events = generate(
+            spec.mu, spec.config.n, spec.config.m, spec.length, spec.ordering,
+            harness._child_seed(spec.config.seed, 3, trial),
+        )
+        est = make_estimator(dataclasses.replace(spec.config, seed=harness._child_seed(spec.config.seed, 4, trial)))
+        records = [est.step(ev) for ev in events]
+        errors.append([abs(records[t - 1].estimate - spec.mu) for t in spec.checkpoints])
+        traces.append(records)
+    return errors, traces
+
+
+class TestRunOracle:
+    """``run`` against a plain replay of the same seeded trials."""
+
+    CASES = {
+        "duplicate checkpoints, one at the stream's end": dict(checkpoints=(16, 4, 16, 32)),
+        "stream past the last checkpoint": dict(checkpoints=(1, 5, 12), stream_len=32),
+        "one checkpoint, stream past it": dict(checkpoints=(7, 7), stream_len=20),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("algorithm", ["naive", "wishful", "single", "multi", "full"])
+    def test_run_equals_replay(self, tmp_path, algorithm, case):
+        spec = replay_spec(algorithm, **self.CASES[case])
+        errors, traces = replay(spec)
+        expected = (
+            tuple(float(x) for x in np.median(errors, axis=0)),
+            tuple(float(x) for x in np.quantile(errors, 0.1, axis=0)),
+            tuple(float(x) for x in np.quantile(errors, 0.9, axis=0)),
+        )
+        runs = {
+            "traced": run(spec, tmp_path / "traced"),
+            "untraced": run(spec, tmp_path / "untraced", write_traces=False),
+            "in memory": run(spec, out_dir=None),
+        }
+        for label, summary in runs.items():
+            got = (summary.median_abs_error, summary.q10_abs_error, summary.q90_abs_error)
+            assert summary.checkpoints == tuple(sorted(self.CASES[case]["checkpoints"])), label
+            assert got == expected, label
+        paths = runs["traced"].trace_paths
+        assert [p.name for p in paths] == [f"trace_{i:04d}.csv" for i in range(spec.trials)]
+        for path, records in zip(paths, traces):
+            assert path.read_bytes() == reference_trace_csv(records)
+        assert runs["untraced"].trace_paths == () and runs["in memory"].trace_paths == ()
+        assert not list((tmp_path / "untraced").glob("trace_*.csv"))
+        assert (tmp_path / "untraced" / "summary.csv").read_bytes() == (
+            tmp_path / "traced" / "summary.csv"
+        ).read_bytes()
 
 
 class TestSweep:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from contmean.noise import spawn_rng
 from contmean.streams import (
+    ORDERING_KINDS,
     OrderingSpec,
     StreamEvent,
     StreamParseError,
@@ -172,9 +173,18 @@ class TestStreamEvent:
         assert (a.t, a.user, a.value) == (1, 2, 0.5)
         assert StreamEvent._fields == ("t", "user", "value")
 
-    def test_generated_fields_are_python_scalars(self):
-        ev = generate(0.5, 3, 4, 12, OrderingSpec("uniform_random"), seed=2)[-1]
-        assert (type(ev.t), type(ev.user), type(ev.value)) == (int, int, float)
+    def test_generated_fields_are_python_scalars(self, tmp_path):
+        path = tmp_path / "order.csv"
+        write_stream(generate(0.5, 3, 4, 12, OrderingSpec("round_robin"), seed=1), path)
+        for kind in ORDERING_KINDS:
+            events = generate(0.5, 3, 4, 12, OrderingSpec(kind, path=str(path)), seed=2)
+            assert len(events) == 12
+            for ev in events:
+                assert type(ev) is StreamEvent
+                assert (type(ev.t), type(ev.user), type(ev.value)) == (int, int, float)
+            # the same events as one StreamEvent call per event builds, t = 1..T
+            built = [StreamEvent(t=i, user=ev.user, value=ev.value) for i, ev in enumerate(events, 1)]
+            assert events == built and list(map(hash, events)) == list(map(hash, built))
 
 
 class TestSerialization:
