@@ -364,55 +364,54 @@ def check_diversity(
     return DiversityReport(satisfied=lhs >= rhs, lhs=lhs, rhs=rhs, max_count=max_count)
 
 
-class CappedSum:
-    """sum_u min(c_u, cap) over all users, kept current by a ``CappedSupply``."""
-
-    __slots__ = ("cap", "value")
-
-    def __init__(self, cap: float, value: float):
-        self.cap = cap
-        self.value = value
-
-
 class CappedSupply:
-    """Users with at least k samples, plus running capped sums over them.
+    """Users with at least k samples, plus the two running capped sums,
+    sum_u min(c_u, cap), that ``step`` reads.
 
     ``at_least[k]`` = A(k), the number of users that hold k or more samples,
     k = 1..m (slot 0 is unused and slot m + 1 stays 0).  A user moving from c
     to c + 1 samples changes A(c + 1) alone, and sum_u min(c_u, cap) equals
     sum_{k <= floor(cap)} A(k) + (cap - floor(cap)) * A(floor(cap) + 1).
-    Each tracked ``CappedSum`` stays exact in O(1) per sample, gaining
-    min(c + 1, cap) - min(c, cap), which is 1, 1/2 or 0, and in O(1) per
-    half-step raise of its cap.  Every sum is a multiple of 1/2 no larger
-    than n * m, so float sums and comparisons are exact.
+
+    ``half`` is the ``div`` flag's sum at cap M_t/2 (None when the flag is
+    not tracked); ``gate`` is ``full``'s sum at the integer cap
+    ``gate_cap``, the lowest waiting level's array size (0: no gate).  A
+    sample gains each sum min(c + 1, cap) - min(c, cap), which is 1, 1/2 or
+    0.  When M_t rises by 1, M_t/2 rises by 1/2 and each user above the old
+    cap, A(floor(M_t/2) + 1) of them, gains 1/2.  So both stay exact in O(1)
+    per sample.  Every sum is a multiple of 1/2 no larger than n * m, so
+    float sums and comparisons are exact.
     """
 
-    __slots__ = ("at_least", "max_count", "sums")
+    __slots__ = ("at_least", "max_count", "half", "gate", "gate_cap")
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, track_half: bool):
         self.at_least = [0] * (m + 2)
         self.max_count = 0
-        self.sums: list[CappedSum] = []
+        self.half = 0.0 if track_half else None
+        self.gate = 0
+        self.gate_cap = 0
 
     def add(self, count: int) -> bool:
         """Move one user from ``count`` samples to ``count + 1``; return
         whether that raised ``max_count``."""
-        self.at_least[count + 1] += 1
-        for s in self.sums:
-            if count < s.cap:
-                s.value += 1 if count + 1 <= s.cap else s.cap - count
+        at_least = self.at_least
+        at_least[count + 1] += 1
+        if count < self.gate_cap:
+            self.gate += 1
+        half = self.half
         if count < self.max_count:
+            if half is not None:
+                cap = self.max_count / 2
+                if count < cap:
+                    self.half = half + (1 if count + 1 <= cap else cap - count)
             return False
+        # M_t rises from count: this user already held the old cap count/2,
+        # so only the cap's rise adds to ``half``
         self.max_count = count + 1
+        if half is not None:
+            self.half = half + 0.5 * at_least[count // 2 + 1]
         return True
-
-    def raise_half(self, s: CappedSum) -> None:
-        """Raise ``s``'s cap, a multiple of 1/2, by 1/2: each user above the
-        old cap, A(floor(cap) + 1) of them, gains 1/2 and nobody else moves."""
-        k = int(s.cap) + 1
-        if k <= self.max_count:
-            s.value += 0.5 * self.at_least[k]
-        s.cap += 0.5
 
     def capped_sum(self, cap: float) -> float:
         """sum_u min(c_u, cap), recounted from ``at_least`` in O(min(cap, M))."""
@@ -420,22 +419,15 @@ class CappedSupply:
         at_least = self.at_least
         return sum(at_least[1 : whole + 1]) + (cap - whole) * at_least[whole + 1]
 
-    def track(self, cap: float) -> CappedSum:
-        s = CappedSum(cap, self.capped_sum(cap))
-        self.sums.append(s)
-        return s
-
-    def untrack(self, s: CappedSum) -> None:
-        self.sums.remove(s)
-
     def copy(self) -> CappedSupply:
-        """An independent twin; its ``sums`` are new ``CappedSum``s in the
-        same order as these."""
+        """An independent twin."""
         cls = type(self)
         twin = cls.__new__(cls)
         twin.at_least = self.at_least[:]
         twin.max_count = self.max_count
-        twin.sums = [CappedSum(s.cap, s.value) for s in self.sums]
+        twin.half = self.half
+        twin.gate = self.gate
+        twin.gate_cap = self.gate_cap
         return twin
 
 
@@ -478,12 +470,10 @@ class _EstimatorBase:
         ]
         self._sum = 0.0  # the counters' noisy total, set after every append
         self.counts: dict[int, int] = {}
-        self.supply = CappedSupply(config.m)
-        self._last_t = 0
-        # the div flag's sum at cap M_t/2 and its threshold; the cap and
-        # the threshold change only when M_t rises
         tracking = config.track_diversity
-        self._half_supply = self.supply.track(0.0) if tracking else None
+        self.supply = CappedSupply(config.m, tracking)
+        self._last_t = 0
+        # the div flag's threshold, which changes only when M_t rises
         self._diversity_prior = _diversity_prior(config.m, config.eps, config.delta) if tracking else None
         self._diversity_rhs = math.inf
         self._active: tuple[int, ...] | None = None  # set by estimators that hold levels back
@@ -549,13 +539,11 @@ class _EstimatorBase:
             # until all m samples arrive, while the others release every
             # user's first sample at once
             estimate = cfg.prior
-        half = self._half_supply
+        half = supply.half
         if half is not None:
             if max_rose:
-                # M_t rose by 1, so the cap M_t/2 rises by 1/2
-                supply.raise_half(half)
                 self._diversity_rhs = _diversity_rhs(supply.max_count, self._diversity_prior)
-            if half.value >= self._diversity_rhs:
+            if half >= self._diversity_rhs:
                 flags += ("div",)
 
         record = TraceRecord(self.t, user, estimate, self.total, supply.max_count, self._active, flags)
@@ -595,17 +583,11 @@ class _EstimatorBase:
         twin.counts = dict(self.counts)
         twin.supply = self.supply.copy()
         twin._last_t = self._last_t
-        half = self._half_supply
-        twin._half_supply = None if half is None else self._twin_sum(twin, half)
         twin._diversity_prior = self._diversity_prior
         twin._diversity_rhs = self._diversity_rhs
         twin._active = self._active
         twin._max_t = self._max_t
         return twin
-
-    def _twin_sum(self, twin: _EstimatorBase, s: CappedSum) -> CappedSum:
-        """``twin``'s copy of the ``CappedSum`` ``s`` that ``supply`` tracks."""
-        return twin.supply.sums[self.supply.sums.index(s)]
 
     def diversity(self) -> DiversityReport:
         cfg = self.config
@@ -707,13 +689,11 @@ class WithholdReleaseEstimator(_EstimatorBase):
         # each user's first 2^(L-1) events: the most any level's median reads
         self._history: list[StreamEvent] = []
         self._history_cap = 1 << (levels - 2) if self.buffers else 0
-        # the capped sum at the lowest waiting level, tracked until the last
-        # activation, and that level's threshold
-        self._gate: CappedSum | None = None
+        # the lowest waiting level's threshold for ``supply.gate``, which
+        # ``supply`` keeps at that level's cap until the last activation
         self._need = math.inf
         if self.buffers:
-            cap, self._need = self._gate_at(2)
-            self._gate = self.supply.track(cap)
+            self.supply.gate_cap, self._need = self._gate_at(2)
         if config.prior is None:
             self._active = (0, 1)
 
@@ -728,7 +708,6 @@ class WithholdReleaseEstimator(_EstimatorBase):
         twin.priors = dict(self.priors)
         twin._history = self._history[:]
         twin._history_cap = self._history_cap
-        twin._gate = None if self._gate is None else self._twin_sum(twin, self._gate)
         twin._need = self._need
         return twin
 
@@ -767,20 +746,19 @@ class WithholdReleaseEstimator(_EstimatorBase):
         for raw in self.buffers.pop(level):
             self._release(level, raw, size)
         self._active += (level,)
-        gate = self._gate
+        supply = self.supply
         if self.buffers:
-            gate.cap, self._need = self._gate_at(next(iter(self.buffers)))
-            gate.value = self.supply.capped_sum(gate.cap)
+            supply.gate_cap, self._need = self._gate_at(next(iter(self.buffers)))
+            supply.gate = supply.capped_sum(supply.gate_cap)
         else:
-            self.supply.untrack(gate)
-            self._gate = None
+            supply.gate_cap = supply.gate = 0
             self._need = math.inf
             self._history = []
             self._history_cap = 0
 
     def _process(self, event: StreamEvent, count: int) -> bool:
-        gate = self._gate  # None while no level waits
-        if gate is not None:
+        buffers = self.buffers  # empty once no level waits
+        if buffers:
             if count < self._history_cap:
                 self._history.append(event)
             # activation reads the post-increment counts (``step`` has
@@ -789,16 +767,17 @@ class WithholdReleaseEstimator(_EstimatorBase):
             # order: level l+1's capped sum is at most twice level l's, and
             # its threshold (arrays twice as long, and no fewer) at least
             # twice level l's, so only the lowest waiting level, the one
-            # ``gate`` tracks against ``_need``, can be next.  The last
-            # activation sets ``_need`` to infinity.
-            while gate.value >= self._need:
-                self._activate(next(iter(self.buffers)))
+            # ``supply.gate`` sums at, can be next.  The last activation
+            # sets ``_need`` to infinity.
+            supply = self.supply
+            while supply.gate >= self._need:
+                self._activate(next(iter(buffers)))
         released = self.ledger.record(event.user, event.value, count)
         if released is None:
             return False
         level, block_sum, block_size = released
-        if gate is not None:
-            buffer = self.buffers.get(level)
+        if buffers:
+            buffer = buffers.get(level)
             if buffer is not None:
                 buffer.append(block_sum)
                 return False

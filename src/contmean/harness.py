@@ -81,6 +81,9 @@ class ExperimentSpec:
     stream_len: int | None = None
 
     def __post_init__(self):
+        # a sweep over "ordering" would otherwise put a bare kind string here
+        if not isinstance(self.ordering, OrderingSpec):
+            raise ValueError(f"ordering: {self.ordering!r} is not an OrderingSpec")
         _require_int("trials", self.trials)
         for c in self.checkpoints:
             _require_int("checkpoints", c)

@@ -10,6 +10,7 @@ shortest round-trip decimals.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -51,9 +52,9 @@ class StreamEvent(NamedTuple):
 class OrderingSpec:
     """Which user contributes at each step.
 
-    ``single_user_prefix`` has user 1 contribute ``prefix_len`` samples
-    (default: its full cap) before anyone else; ``from_file`` replays the
-    user column of an existing stream file.
+    ``single_user_prefix`` has user 1 contribute ``prefix_len`` samples, a
+    positive integer (default: its full cap), before anyone else;
+    ``from_file`` replays the user column of an existing stream file.
     """
 
     kind: str
@@ -65,6 +66,11 @@ class OrderingSpec:
             raise ValueError(f"unknown ordering kind {self.kind!r}; pick from {ORDERING_KINDS}")
         if self.kind == "from_file" and not self.path:
             raise ValueError("from_file ordering needs a path")
+        # 0 would stand for the full cap and -1 drop user 1; a float fails
+        # only inside ``generate``
+        p = self.prefix_len
+        if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1):
+            raise ValueError(f"prefix_len must be a positive integer, got {p!r}")
 
 
 def _user_sequence(ordering: OrderingSpec, n: int, m: int, T: int, rng) -> list[int]:
@@ -110,7 +116,7 @@ def _user_sequence(ordering: OrderingSpec, n: int, m: int, T: int, rng) -> list[
                 top -= 1
         return seq
     if ordering.kind == "single_user_prefix":
-        prefix = min(ordering.prefix_len or m, m, T)
+        prefix = min(m if ordering.prefix_len is None else ordering.prefix_len, m, T)
         rest = T - prefix
         if rest > (n - 1) * m:
             raise ValueError("single_user_prefix ordering cannot reach the requested length")

@@ -124,7 +124,9 @@ def uniform_random_users(n, m, T, rng):
 def single_user_prefix_users(n, m, T, prefix_len=None):
     """User sequence of the ``single_user_prefix`` ordering, built from every
     other user's m slots (O(n m) whatever T is)."""
-    prefix = min(prefix_len or m, m, T)
+    if prefix_len is not None and prefix_len < 1:
+        raise ValueError(f"prefix_len must be a positive integer, got {prefix_len!r}")
+    prefix = min(m if prefix_len is None else prefix_len, m, T)
     seq = [1] * prefix
     others = [u for u in range(2, n + 1) for _ in range(m)]
     seq.extend(others[: T - prefix])

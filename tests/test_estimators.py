@@ -399,10 +399,10 @@ class TestFullHistory:
 
 
 class TestFullGates:
-    """``full`` tracks one capped sum, at the lowest inactive level, against
-    that level's activation threshold, and none once every level is active.
-    ``single`` and ``multi`` share its class and never hold a gate, a buffer
-    or history."""
+    """``full``'s ``supply`` keeps one capped sum, at the lowest inactive
+    level's array size, against that level's activation threshold, and
+    none (cap 0) once every level is active.  ``single`` and ``multi``
+    share its class and never hold a gate, a buffer or history."""
 
     @pytest.mark.parametrize("ordering", ["uniform_random", "single_user_prefix", "round_robin"])
     @pytest.mark.parametrize("algorithm", ["single", "multi", "full"])
@@ -410,30 +410,31 @@ class TestFullGates:
         n, m, eps, delta = 300, 16, 50.0, 0.5
         events = generate(0.5, n, m, 200, OrderingSpec(ordering), seed=1)
         est = make_estimator(any_config(algorithm, n=n, m=m, T=len(events), eps=eps, delta=delta, seed=1))
+        supply = est.supply
         for ev in events:
             est.step(ev)
-            gate = est._gate
-            assert (gate is not None) == bool(est.buffers)
-            if gate is not None:
+            gated = supply.gate_cap != 0
+            assert gated == bool(est.buffers)
+            if gated:
                 level = min(est.buffers)
-                assert gate.cap == 1 << (level - 1)  # that level's median array size
+                assert supply.gate_cap == 1 << (level - 1)  # that level's median array size
                 assert est._need == activation_threshold(level, m, eps, delta)  # and its threshold
-                assert any(gate is s for s in est.supply.sums)
-                assert gate.value == est.supply.capped_sum(gate.cap)
+                assert supply.gate == supply.capped_sum(supply.gate_cap)
             else:
-                assert est._need == math.inf
-            assert len(est.supply.sums) == est.config.track_diversity + (gate is not None)
+                assert est._need == math.inf and supply.gate == 0
+            assert (supply.half is not None) == est.config.track_diversity
             if algorithm != "full":
-                assert gate is None and est.buffers == {} and est._history == [] and est.inactive == set()
-        assert est._gate is None
+                assert not gated and est.buffers == {} and est._history == [] and est.inactive == set()
+        assert supply.gate_cap == 0
         assert sorted(est.priors) == ([2, 3, 4] if algorithm == "full" else [])
 
 
 @st.composite
 def supply_cases(draw):
     """(m, caps, ops): caps to probe after every op, and a list of
-    ("add", user, repeats), ("raise", which sum) and ("track", cap) ops.
-    Caps are integers and halves, 0 and values above m among them."""
+    ("add", user, repeats) and ("gate", cap) ops, the latter re-capping the
+    gate as an activation does.  Probe caps are integers and halves, 0 and
+    values above m among them."""
     m = draw(st.integers(1, 1024))
     caps = st.one_of(
         st.just(0),
@@ -443,31 +444,41 @@ def supply_cases(draw):
     )
     ops = st.one_of(
         st.tuples(st.just("add"), st.integers(1, 4), st.integers(1, m)),
-        st.tuples(st.just("raise"), st.integers(0, 7)),
-        st.tuples(st.just("track"), caps),
+        st.tuples(st.just("gate"), st.integers(0, m + 2)),
     )
     return m, draw(st.lists(caps, min_size=1, max_size=3)), draw(st.lists(ops, max_size=20))
 
 
 class TestCappedSupply:
-    """Every tracked sum and every recount equals sum_u min(c_u, cap),
-    counted user by user."""
+    """``half``, ``gate`` and every recount equal sum_u min(c_u, cap),
+    counted user by user, and ``add`` reports each rise of M_t."""
 
     @settings(max_examples=120, deadline=None)
     @given(supply_cases())
-    @example((1024, [512.5, 0, 2000.0], [("add", 1, 1024), ("track", 3), ("add", 2, 5), ("raise", 0)]))
+    @example((1024, [512.5, 0, 2000.0], [("add", 1, 1024), ("gate", 3), ("add", 2, 5), ("gate", 0), ("add", 3, 2)]))
+    @example((8, [4], [("add", 1, 3), ("add", 2, 2), ("add", 3, 1), ("add", 1, 2), ("add", 2, 4)]))
     def test_sums_equal_brute_force(self, case):
         m, probes, ops = case
-        supply = CappedSupply(m)
+        supply = CappedSupply(m, track_half=True)
+        bare = CappedSupply(m, track_half=False)
         counts = {}
 
+        def capped(cap):
+            return sum(min(c, cap) for c in counts.values())
+
         def check():
-            for cap in [s.cap for s in supply.sums] + probes:
-                brute = sum(min(c, cap) for c in counts.values())
-                assert supply.capped_sum(cap) == brute
-            for s in supply.sums:
-                assert s.value == sum(min(c, s.cap) for c in counts.values())
-            assert supply.max_count == max(counts.values(), default=0)
+            max_count = max(counts.values(), default=0)
+            assert supply.max_count == max_count
+            assert supply.half == capped(max_count / 2)
+            assert supply.gate == capped(supply.gate_cap)
+            for cap in [max_count / 2, supply.gate_cap] + probes:
+                assert supply.capped_sum(cap) == capped(cap)
+            assert supply.at_least[1:] == [sum(c >= k for c in counts.values()) for k in range(1, m + 2)]
+            # without the flag's sum, the supply is the same in all else
+            assert bare.half is None
+            assert [getattr(bare, f) for f in CappedSupply.__slots__ if f != "half"] == [
+                getattr(supply, f) for f in CappedSupply.__slots__ if f != "half"
+            ]
 
         for op in ops:
             if op[0] == "add":
@@ -477,15 +488,20 @@ class TestCappedSupply:
                     rose = count == supply.max_count
                     counts[user] = count + 1
                     assert supply.add(count) == rose
-                    check()
-            elif op[0] == "raise":
-                if supply.sums:
-                    supply.raise_half(supply.sums[op[1] % len(supply.sums)])
+                    assert bare.add(count) == rose
                     check()
             else:
-                supply.track(op[1])
+                for s in (supply, bare):
+                    s.gate_cap = op[1]
+                    s.gate = s.capped_sum(op[1])
                 check()
-            assert supply.at_least[1:] == [sum(c >= k for c in counts.values()) for k in range(1, m + 2)]
+
+
+def set_fields(obj) -> list[str]:
+    """The names of the attributes ``obj`` holds: its set ``__slots__``,
+    then its ``__dict__`` keys, each in order."""
+    slots = [f for cls in type(obj).__mro__ for f in getattr(cls, "__slots__", ())]
+    return [f for f in slots if hasattr(obj, f)] + list(getattr(obj, "__dict__", ()))
 
 
 def estimator_state(est) -> str:
@@ -493,7 +509,7 @@ def estimator_state(est) -> str:
     return repr((
         est.t, est.total, est.records, est.counts, est.budget.entries, est.active_levels(),
         [(mech.noisy_partial_sums, mech.sum()) for mech in est.mechanisms],
-        est.supply.at_least, [(s.cap, s.value) for s in est.supply.sums],
+        [getattr(est.supply, f) for f in CappedSupply.__slots__],
         getattr(est, "ledger", None) and est.ledger.pending, getattr(est, "_intervals", None),
         getattr(est, "priors", None), getattr(est, "buffers", None), getattr(est, "_history", None),
     ))
@@ -543,9 +559,12 @@ class TestCopy:
         at_cut = estimator_state(est)
         twin = est.copy()
         # an attribute that copy() misses shows here
-        assert list(vars(twin)) == list(vars(est))
-        for a, b in zip(twin.mechanisms, est.mechanisms):
-            assert list(vars(a)) == list(vars(b))
+        pairs = [(twin, est), (twin.supply, est.supply), *zip(twin.mechanisms, est.mechanisms)]
+        if hasattr(est, "ledger"):
+            pairs.append((twin.ledger, est.ledger))
+        for a, b in pairs:
+            assert set_fields(a) == set_fields(b)
+        assert set_fields(est.supply) == list(CappedSupply.__slots__)
         assert estimator_state(twin) == at_cut
         twin.run(events[cut:])
         assert estimator_state(est) == at_cut
@@ -700,7 +719,7 @@ class TestDiversity:
             rec = est.step(ev)
             assert ("div" in rec.flags) == recount.satisfied
             assert est.diversity() == recount
-            assert (est._half_supply.value, est._diversity_rhs) == (recount.lhs, recount.rhs)
+            assert (est.supply.half, est._diversity_rhs) == (recount.lhs, recount.rhs)
             flags.append(recount.satisfied)
         assert est.supply.max_count == m
         assert 0 < sum(flags) < len(flags) and flags[-1] is False

@@ -135,6 +135,27 @@ class TestSpecFields:
         assert f"precondition violation: {field}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_ordering_must_be_an_ordering_spec(self):
+        # it used to fail mid-run with an AttributeError
+        with pytest.raises(ValueError, match="^ordering: 'round_robin' is not an OrderingSpec"):
+            dataclasses.replace(spec_for(), ordering="round_robin")
+
+    @pytest.mark.parametrize("prefix_len", [0, -1, 2.5])
+    def test_cli_prefix_len_exit_code_two(self, tmp_path, capsys, prefix_len):
+        run_spec = {
+            "algorithm": "naive", "n": 4, "m": 8, "eps": 1.0, "delta": 0.1, "T": 16, "mu": 0.5,
+            "ordering": "single_user_prefix", "prefix_len": prefix_len, "trials": 1, "checkpoints": [4],
+        }
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(run_spec))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        out = tmp_path / "stream.csv"
+        assert main(["generate", "--mu", "0.5", "--n", "4", "--m", "8", "--T", "16",
+                     "--ordering", "single_user_prefix", "--prefix-len", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "precondition violation: prefix_len must be a positive integer" in capsys.readouterr().err
+
 
 def replay_spec(algorithm, checkpoints, stream_len=None):
     """A three-trial spec over n=4 users of m=8 samples; ``wishful`` gets
@@ -216,6 +237,13 @@ class TestSweep:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep key"):
             sweep(spec_for(), {"zeta": [1]})
+
+    def test_ordering_kinds_rejected_before_any_trial(self, tmp_path, monkeypatch):
+        # sweeping orderings is not supported: a grid value is a kind
+        # string, not an OrderingSpec
+        monkeypatch.setattr(harness, "run", lambda *a, **kw: pytest.fail("a grid point ran"))
+        with pytest.raises(ValueError, match="^ordering: 'round_robin' is not an OrderingSpec"):
+            sweep(spec_for(), {"ordering": ["round_robin", "contiguous"]}, tmp_path)
 
     def test_privacy_error_decreases_with_eps(self):
         # median error at the final checkpoint shrinks as the budget grows
@@ -610,6 +638,21 @@ class TestCli:
         rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_sweep_over_orderings_exit_code_two(self, tmp_path, capsys):
+        sweep_spec = {
+            "base": {
+                "algorithm": "naive", "n": 4, "m": 8, "eps": 1.0, "delta": 0.1,
+                "T": 8, "seed": 1, "mu": 0.5, "ordering": "round_robin",
+                "trials": 1, "checkpoints": [8],
+            },
+            "grid": {"ordering": ["round_robin", "contiguous"]},
+        }
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(sweep_spec))
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        assert "precondition violation: ordering: 'round_robin' is not an OrderingSpec" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_exit_code_one(self):
         assert main(["frobnicate"]) == 1

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -99,14 +100,25 @@ class TestGenerate:
          (5, 3, 15, 1), (5, 3, 14, 2), (5, 3, 13, 1), (3, 4, 12, 2), (2, 7, 14, 6), (3, 5, 4, 0)],
     )
     def test_single_user_prefix_equals_full_slot_list(self, n, m, T, prefix_len):
-        spec = OrderingSpec("single_user_prefix", prefix_len=prefix_len)
         try:
             expected = single_user_prefix_users(n, m, T, prefix_len)
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
-                generate(0.5, n, m, T, spec, seed=0)
+                generate(0.5, n, m, T, OrderingSpec("single_user_prefix", prefix_len=prefix_len), seed=0)
         else:
+            spec = OrderingSpec("single_user_prefix", prefix_len=prefix_len)
             assert [ev.user for ev in generate(0.5, n, m, T, spec, seed=0)] == expected
+
+    @pytest.mark.parametrize("prefix_len", [0, -1, 2.5, 3.0, True, "3"])
+    def test_prefix_len_must_be_a_positive_integer(self, prefix_len):
+        # 0 used to stand for the full cap, -1 dropped user 1, and 2.5
+        # failed inside ``generate`` with a TypeError
+        with pytest.raises(ValueError, match="prefix_len must be a positive integer"):
+            OrderingSpec("single_user_prefix", prefix_len=prefix_len)
+
+    def test_prefix_len_numpy_integer_accepted(self):
+        spec = OrderingSpec("single_user_prefix", prefix_len=np.int64(3))
+        assert [ev.user for ev in generate(0.5, 4, 6, 10, spec, seed=0)][:4] == [1, 1, 1, 2]
 
     def test_single_user_prefix_builds_only_the_returned_users(self):
         # every other user's m slots would be 1.28M list entries (10 MB)
