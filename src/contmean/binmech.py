@@ -143,8 +143,9 @@ class BinaryMechanism:
         self._draws = laplace(self.eta, self._rng, size).tolist()[::-1]
         return self._draws.pop()
 
-    def append(self, x: float) -> None:
-        """Ingest one element and record its noisy dyadic partial sum."""
+    def append(self, x: float) -> float:
+        """Ingest one element, record its noisy dyadic partial sum, and
+        return the new noisy running sum, the value ``sum()`` reads next."""
         stack = self._stack
         top = stack[-1]  # (k - 1, its prefix sum, its noisy running sum)
         prefix = top[1] + float(x)
@@ -155,7 +156,9 @@ class BinaryMechanism:
             top = stack[-1]
         value = (prefix - top[1]) + (self._draws.pop() if self._draws else self._refill() if self.eta else 0.0)
         self._nps.append(value)
-        stack.append((k, prefix, top[2] + value))
+        total = top[2] + value
+        stack.append((k, prefix, total))
+        return total
 
     def sum(self) -> float:
         """Noisy running sum of everything appended so far (0.0 when empty)."""

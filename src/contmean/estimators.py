@@ -1,19 +1,26 @@
 """The five continual mean estimators.
 
-All five publish an estimate after every event.  ``naive`` feeds raw samples
-to one tree counter.  ``wishful`` requires user-contiguous arrival and feeds
-one truncated per-user sum.  ``single`` and ``multi`` apply the exponential
-withhold-release schedule with a supplied prior, feeding truncated dyadic
-blocks to one counter or to one counter per level.  ``full`` needs no prior:
-it buffers blocks for levels whose truncation interval cannot be centered
-yet, and activates a level once enough distinct users have contributed to
-pay for a private-median prior.
+All five publish an estimate after every event, from one ``step``, and
+differ in data only: a release law, a privacy table and per-level
+intervals.  ``naive`` feeds raw samples to one tree counter.  ``wishful``
+requires user-contiguous arrival and feeds one truncated per-user sum.
+``single`` and ``multi`` apply the exponential withhold-release schedule
+with a supplied prior, feeding truncated dyadic blocks to one counter or to
+one counter per level.  ``full`` needs no prior: it buffers blocks for
+levels whose truncation interval cannot be centered yet, and activates a
+level once enough distinct users have contributed to pay for a
+private-median prior.
+
+On a withheld sample ``step`` makes one Python call, the release law's
+``record``; a release adds the route to the counter (``_release``) and the
+counter's ``append``, which returns the new running sum.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -23,12 +30,12 @@ from contmean.noise import BudgetLedger, spawn_rng
 from contmean.streams import StreamEvent
 from contmean.truncate import (
     TruncationInterval,
+    clamp_bounds,
     full_prior_split,
     interval_full,
     interval_single,
-    project,
 )
-from contmean.withhold import UserLedger
+from contmean.withhold import BatchLedger, SampleLedger, UserLedger
 
 __all__ = [
     "ALGORITHMS",
@@ -194,6 +201,14 @@ def full_noise_scale(m: int, n: int, level: int, eps: float, delta: float) -> fl
 # --------------------------------------------------------------------------
 
 
+def _require_int(field: str, value) -> None:
+    # a float count would pass every comparison and fail only mid-run (or
+    # calibrate the noise to a fractional n, m or T), and a bool would stand
+    # for 0 or 1; numpy integers are integers
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field}: {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Parameters shared by all estimators plus testing knobs.
@@ -223,6 +238,14 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}")
+        for field in ("n", "m", "seed"):
+            _require_int(field, getattr(self, field))
+        if self.T is not None:
+            _require_int("T", self.T)
+        # a bad seed would otherwise fail at the first noise draw, inside
+        # a ``step`` that has already moved state
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         # NaN fails ``0 < eps < inf``: a NaN or infinite budget would publish
@@ -379,8 +402,8 @@ class CappedSupply:
     sample gains each sum min(c + 1, cap) - min(c, cap), which is 1, 1/2 or
     0.  When M_t rises by 1, M_t/2 rises by 1/2 and each user above the old
     cap, A(floor(M_t/2) + 1) of them, gains 1/2.  So both stay exact in O(1)
-    per sample.  Every sum is a multiple of 1/2 no larger than n * m, so
-    float sums and comparisons are exact.
+    per sample; ``step`` moves them.  Every sum is a multiple of 1/2 no
+    larger than n * m, so float sums and comparisons are exact.
     """
 
     __slots__ = ("at_least", "max_count", "half", "gate", "gate_cap")
@@ -391,27 +414,6 @@ class CappedSupply:
         self.half = 0.0 if track_half else None
         self.gate = 0
         self.gate_cap = 0
-
-    def add(self, count: int) -> bool:
-        """Move one user from ``count`` samples to ``count + 1``; return
-        whether that raised ``max_count``."""
-        at_least = self.at_least
-        at_least[count + 1] += 1
-        if count < self.gate_cap:
-            self.gate += 1
-        half = self.half
-        if count < self.max_count:
-            if half is not None:
-                cap = self.max_count / 2
-                if count < cap:
-                    self.half = half + (1 if count + 1 <= cap else cap - count)
-            return False
-        # M_t rises from count: this user already held the old cap count/2,
-        # so only the cap's rise adds to ``half``
-        self.max_count = count + 1
-        if half is not None:
-            self.half = half + 0.5 * at_least[count // 2 + 1]
-        return True
 
     def capped_sum(self, cap: float) -> float:
         """sum_u min(c_u, cap), recounted from ``at_least`` in O(min(cap, M))."""
@@ -435,8 +437,27 @@ class CappedSupply:
 
 
 class _EstimatorBase:
-    """Shared event loop: input checks, count bookkeeping, trace records,
+    """The one event loop of all five estimators: input checks, count
+    bookkeeping, the route from a release to its counter, trace records and
     publication.
+
+    The estimators differ in data, not in code:
+
+    - ``ledger``'s release law (``withhold``): every sample at once
+      (``naive``), a user's m samples as one batch (``wishful``), or dyadic
+      blocks (``single``, ``multi``, ``full``).  ``step`` makes one call per
+      sample, ``ledger.record``, which returns the released block, if any.
+    - The privacy table, hence the counters and ``_feeds``, the counter each
+      release level feeds: counter 0 when the table has one, else the
+      level's own.
+    - Each level's interval, with the clamp bounds ``_release`` applies:
+      ``wishful``'s at block size m, and for ``single`` and ``multi``
+      intervals centred on the supplied prior at levels 1 and up.
+      ``naive``, level 0 and ``clip_disabled`` clamp nothing.
+    - Which levels wait.  Without a prior, ``full``'s levels 2 and up
+      buffer their blocks, outside the estimate, until enough distinct users
+      pay for a private-median prior at their scale; activation sets the
+      level's interval and releases its buffer along the same route.
 
     The counters and the budget ledger are built from one privacy table, so
     each counter's noise scale and its ledger share come from the same row.
@@ -469,23 +490,53 @@ class _EstimatorBase:
             for i, row in enumerate(counters)
         ]
         self._sum = 0.0  # the counters' noisy total, set after every append
-        self.counts: dict[int, int] = {}
+        algorithm, m = config.algorithm, config.m
+        if algorithm == "naive":
+            self.ledger = SampleLedger()
+        elif algorithm == "wishful":
+            self.ledger = BatchLedger(m)
+        else:
+            self.ledger = UserLedger()
+        self.counts = self.ledger.counts  # the ledger counts each sample
         tracking = config.track_diversity
-        self.supply = CappedSupply(config.m, tracking)
+        self.supply = CappedSupply(m, tracking)
         self._last_t = 0
         # the div flag's threshold, which changes only when M_t rises
-        self._diversity_prior = _diversity_prior(config.m, config.eps, config.delta) if tracking else None
+        self._diversity_prior = _diversity_prior(m, config.eps, config.delta) if tracking else None
         self._diversity_rhs = math.inf
-        self._active: tuple[int, ...] | None = None  # set by estimators that hold levels back
-        self._max_t = math.inf  # the longest stream accepted: T for naive and wishful
-
-    # -- subclass hooks ----------------------------------------------------
-
-    def _process(self, event: StreamEvent, count: int) -> bool:
-        """Consume one event of a user that held ``count`` samples before
-        it: count it in ``counts``, update mechanisms and ``total``; return
-        whether a block was clipped."""
-        raise NotImplementedError
+        self._active: tuple[int, ...] | None = (0, 1) if algorithm == "full" else None
+        # the longest stream accepted: T for naive and wishful, whose one
+        # level is fed per sample or per batch
+        one_level = algorithm in ("naive", "wishful")
+        self._max_t = config.T if one_level else math.inf
+        levels = 1 if one_level else math.ceil(math.log2(m)) + 1
+        # counter index fed by each release level
+        self._feeds = [0] * levels if len(self.mechanisms) == 1 else list(range(levels))
+        # each counter's noisy sum; a lone counter's is ``_sum`` itself
+        self._sums = None if len(self.mechanisms) == 1 else [0.0] * len(self.mechanisms)
+        self._intervals: list[TruncationInterval | None] = [None] * levels
+        self._clamps: list[tuple[float, float] | None] = [None] * levels
+        if config.prior is not None and not config.clip_disabled:
+            prior, n, delta = config.prior, config.n, config.delta
+            if one_level:
+                batch = TruncationInterval(center=m * prior, half_width=_wishful_width(m, n, delta), level=0)
+                self._set_interval(0, batch, m)
+            for lv in range(1, levels):
+                self._set_interval(lv, interval_single(prior, lv, m, n, delta), array_size(lv))
+        # a level waits exactly while it holds a buffer; only ``full`` has
+        # levels above 1 and no prior
+        waiting = range(2, levels) if config.prior is None else ()
+        self.buffers: dict[int, list[float]] = {lv: [] for lv in waiting}
+        self.priors: dict[int, float] = {}
+        # each user's first 2^(L-1) events: the most any level's median
+        # reads, and at least every waiting level's array size
+        self._history: list[StreamEvent] = []
+        self._history_cap = 1 << (levels - 2) if self.buffers else 0
+        # the lowest waiting level's threshold for ``supply.gate``, which
+        # ``supply`` keeps at that level's cap until the last activation
+        self._need = math.inf
+        if self.buffers:
+            self.supply.gate_cap, self._need = self._gate_at(2)
 
     def active_levels(self) -> tuple[int, ...] | None:
         return self._active
@@ -525,10 +576,52 @@ class _EstimatorBase:
             self._refuse(event)
         self.t += 1
         self._last_t = event.t
-        supply = self.supply
-        max_rose = supply.add(count)
 
-        flags = ("clip",) if self._process(event, count) else ()
+        # move the user from ``count`` samples to ``count + 1`` in ``supply``
+        supply = self.supply
+        at_least = supply.at_least
+        at_least[count + 1] += 1
+        half = supply.half
+        if count < supply.max_count:
+            if half is not None:
+                cap = supply.max_count / 2
+                if count < cap:
+                    supply.half = half = half + (1 if count + 1 <= cap else cap - count)
+        else:
+            # M_t rises from count: this user already held the old cap
+            # count/2, so only the cap's rise adds to ``half``
+            supply.max_count = count + 1
+            if half is not None:
+                supply.half = half = half + 0.5 * at_least[count // 2 + 1]
+                self._diversity_rhs = _diversity_rhs(count + 1, self._diversity_prior)
+
+        # ``full``'s waiting levels.  Both caps are 0 once no level waits,
+        # and always for the other estimators; the gate's cap is at most the
+        # history's
+        if count < self._history_cap:
+            self._history.append(event)
+            if count < supply.gate_cap:
+                supply.gate += 1
+                # activation reads the post-increment counts and runs before
+                # this event's own release is routed.  Levels activate in
+                # ascending order: level l+1's capped sum is at most twice
+                # level l's, and its threshold (arrays twice as long, and no
+                # fewer) at least twice level l's, so only the lowest waiting
+                # level, the one ``supply.gate`` sums at, can be next.  The
+                # gate moves only here and in ``_activate``, so this is the
+                # only place it can reach ``_need``; the last activation sets
+                # ``_need`` to infinity.
+                while supply.gate >= self._need:
+                    self._activate(next(iter(self.buffers)))
+
+        released = self.ledger.record(user, event.value, count)
+        if released is None:
+            flags = ()
+        else:
+            # on CPython 3.11 a call with unpacked arguments costs about half
+            # of ``_release(*released)``, which the interpreter cannot specialise
+            level, block_sum, block_size = released
+            flags = ("clip",) if self._release(level, block_sum, block_size) else ()
 
         if self.total:
             estimate = self._sum / self.total
@@ -539,177 +632,53 @@ class _EstimatorBase:
             # until all m samples arrive, while the others release every
             # user's first sample at once
             estimate = cfg.prior
-        half = supply.half
-        if half is not None:
-            if max_rose:
-                self._diversity_rhs = _diversity_rhs(supply.max_count, self._diversity_prior)
-            if half >= self._diversity_rhs:
-                flags += ("div",)
+        if half is not None and half >= self._diversity_rhs:
+            flags += ("div",)
 
         record = TraceRecord(self.t, user, estimate, self.total, supply.max_count, self._active, flags)
         if cfg.keep_trace:
             self.records.append(record)
         return record
 
+    def _release(self, level: int, block_sum: float, block_size: int) -> bool:
+        """Route one released block: into its level's buffer while the level
+        waits, else clamped to the level's bounds, if any, into the counter
+        the level feeds.  Return whether the block was clipped."""
+        buffers = self.buffers  # empty once no level waits
+        if buffers:
+            buffer = buffers.get(level)
+            if buffer is not None:
+                buffer.append(block_sum)
+                return False
+        bounds = self._clamps[level]
+        if bounds is None:
+            sigma = block_sum
+        else:
+            lo, hi = bounds
+            sigma = min(max(block_sum, lo), hi)
+        i = self._feeds[level]
+        running = self.mechanisms[i].append(sigma)
+        sums = self._sums
+        if sums is None:
+            # ``math.fsum([s])`` is s for every running sum s, which is never
+            # -0.0: the stack starts at 0.0, and a + b is -0.0 only if both are
+            self._sum = running
+        else:
+            sums[i] = running
+            self._sum = math.fsum(sums)
+        self.total += block_size
+        return sigma != block_sum
+
     def run(self, events) -> list[TraceRecord]:
         return [self.step(ev) for ev in events]
 
-    # -- branching ---------------------------------------------------------
+    # -- intervals and waiting levels --------------------------------------
 
-    def copy(self) -> _EstimatorBase:
-        """An independent twin in this estimator's exact state: stepping
-        either one leaves the other as it was, and the twin publishes, stores
-        and draws exactly what this estimator would from here on.
-
-        Mutable state is copied and immutable state (config, privacy table,
-        counter routing, intervals, trace records) shared.  The twin is
-        built without ``__init__``: it copies the budget ledger's entries,
-        so it charges nothing.  Each class copies the attributes its own
-        ``__init__`` sets, one by one and in the same order, never through
-        ``__dict__``: on CPython 3.11 an instance whose ``__dict__`` has been
-        materialised loses the inline attribute layout that ``step``'s
-        specialised attribute loads expect.
-        """
-        cls = type(self)
-        twin = cls.__new__(cls)
-        twin.config = self.config
-        twin.t = self.t
-        twin.total = self.total
-        twin.records = self.records[:]
-        twin.table = self.table
-        twin.budget = self.budget.copy()
-        twin.mechanisms = [mech.copy() for mech in self.mechanisms]
-        twin._sum = self._sum
-        twin.counts = dict(self.counts)
-        twin.supply = self.supply.copy()
-        twin._last_t = self._last_t
-        twin._diversity_prior = self._diversity_prior
-        twin._diversity_rhs = self._diversity_rhs
-        twin._active = self._active
-        twin._max_t = self._max_t
-        return twin
-
-    def diversity(self) -> DiversityReport:
-        cfg = self.config
-        return check_diversity(self.counts, cfg.eps, cfg.delta, cfg.m)
-
-
-class NaiveEstimator(_EstimatorBase):
-    """Every sample goes straight into one counter; estimate is sum/t."""
-
-    def __init__(self, config: EstimatorConfig):
-        super().__init__(config)
-        self._max_t = config.T
-
-    def _process(self, event: StreamEvent, count: int) -> bool:
-        self.counts[event.user] = count + 1
-        mech = self.mechanisms[0]
-        mech.append(event.value)
-        self._sum = mech.sum()
-        self.total = self.t
-        return False
-
-
-class WishfulEstimator(NaiveEstimator):
-    """Waits for each user's full batch of m samples, then feeds one
-    truncated batch sum.  Requires user-contiguous arrival, and publishes
-    the prior until the first batch completes."""
-
-    def __init__(self, config: EstimatorConfig):
-        super().__init__(config)
-        width = _wishful_width(config.m, config.n, config.delta)
-        self._interval = TruncationInterval(center=config.m * config.prior, half_width=width, level=0)
-        self._block: list[float] = []  # the open batch of the last user
-
-    def copy(self) -> WishfulEstimator:
-        twin = super().copy()
-        twin._interval = self._interval
-        twin._block = self._block[:]
-        return twin
-
-    def step(self, event: StreamEvent) -> TraceRecord:
-        # while a batch is open only its user may arrive; a returning user
-        # that already gave all m samples fails the per-user cap first
-        if self._block and event.user not in self.counts:
-            self._refuse(event)
-            raise OrderingError(
-                f"user {event.user} at t={self.t + 1} breaks the user-contiguous arrival "
-                "this estimator requires"
-            )
-        return super().step(event)
-
-    def _process(self, event: StreamEvent, count: int) -> bool:
-        self.counts[event.user] = count + 1
-        self._block.append(event.value)
-        m = self.config.m
-        if len(self._block) < m:
-            return False
-        raw = math.fsum(self._block)
-        sigma = raw if self.config.clip_disabled else project(self._interval, raw, m)
-        mech = self.mechanisms[0]
-        mech.append(sigma)
-        self._sum = mech.sum()
-        self.total += m
-        self._block = []
-        return sigma != raw
-
-
-class WithholdReleaseEstimator(_EstimatorBase):
-    """The withhold-release schedule: ``single``, ``multi`` and ``full``.
-
-    Each released block is projected onto its level's interval, if the level
-    has one, then fed to counter 0 when the privacy table has one counter,
-    else to its level's counter.  The three differ only in data, decided by
-    whether a prior is supplied.  With one (``single``, ``multi``), levels 1
-    and up get intervals centred on it at construction and no level waits.
-    Without one (``full``), levels 2 and up wait: each buffers its blocks,
-    outside the estimate, until enough distinct users pay for a
-    private-median prior at its scale; activation sets the level's interval
-    and flushes its buffer.  ``clip_disabled`` leaves every level without
-    an interval.
-    """
-
-    def __init__(self, config: EstimatorConfig):
-        super().__init__(config)
-        self.ledger = UserLedger()
-        self.counts = self.ledger.counts  # the ledger counts each sample
-        levels = math.ceil(math.log2(config.m)) + 1
-        # counter index fed by each release level
-        self._feeds = [0] * levels if len(self.mechanisms) == 1 else list(range(levels))
-        clipped = config.prior is not None and not config.clip_disabled
-        self._intervals: list[TruncationInterval | None] = [
-            interval_single(config.prior, lv, config.m, config.n, config.delta) if clipped and lv else None
-            for lv in range(levels)
-        ]
-        self._sums = [0.0] * len(self.mechanisms)  # each counter's noisy sum
-        # a level waits exactly while it holds a buffer
-        waiting = range(2, levels) if config.prior is None else ()
-        self.buffers: dict[int, list[float]] = {lv: [] for lv in waiting}
-        self.priors: dict[int, float] = {}
-        # each user's first 2^(L-1) events: the most any level's median reads
-        self._history: list[StreamEvent] = []
-        self._history_cap = 1 << (levels - 2) if self.buffers else 0
-        # the lowest waiting level's threshold for ``supply.gate``, which
-        # ``supply`` keeps at that level's cap until the last activation
-        self._need = math.inf
-        if self.buffers:
-            self.supply.gate_cap, self._need = self._gate_at(2)
-        if config.prior is None:
-            self._active = (0, 1)
-
-    def copy(self) -> WithholdReleaseEstimator:
-        twin = super().copy()
-        twin.ledger = self.ledger.copy()
-        twin.counts = twin.ledger.counts
-        twin._feeds = self._feeds
-        twin._intervals = self._intervals[:]
-        twin._sums = self._sums[:]
-        twin.buffers = {lv: vals[:] for lv, vals in self.buffers.items()}
-        twin.priors = dict(self.priors)
-        twin._history = self._history[:]
-        twin._history_cap = self._history_cap
-        twin._need = self._need
-        return twin
+    def _set_interval(self, level: int, interval: TruncationInterval, block_size: int) -> None:
+        """Set ``level``'s interval and the clamp bounds ``_release`` applies
+        to its blocks of ``block_size`` samples."""
+        self._intervals[level] = interval
+        self._clamps[level] = clamp_bounds(interval, block_size)
 
     @property
     def inactive(self) -> set[int]:
@@ -740,9 +709,9 @@ class WithholdReleaseEstimator(_EstimatorBase):
         else:
             prior = private_median(self._median_request(level), spawn_rng(cfg.seed, 2, level))
         self.priors[level] = prior
-        if not cfg.clip_disabled:
-            self._intervals[level] = interval_full(prior, level, cfg.n, cfg.m, cfg.eps, cfg.delta)
         size = array_size(level)
+        if not cfg.clip_disabled:
+            self._set_interval(level, interval_full(prior, level, cfg.n, cfg.m, cfg.eps, cfg.delta), size)
         for raw in self.buffers.pop(level):
             self._release(level, raw, size)
         self._active += (level,)
@@ -756,57 +725,70 @@ class WithholdReleaseEstimator(_EstimatorBase):
             self._history = []
             self._history_cap = 0
 
-    def _process(self, event: StreamEvent, count: int) -> bool:
-        buffers = self.buffers  # empty once no level waits
-        if buffers:
-            if count < self._history_cap:
-                self._history.append(event)
-            # activation reads the post-increment counts (``step`` has
-            # already moved this user in ``supply``) and runs before this
-            # event's own release is routed.  Levels activate in ascending
-            # order: level l+1's capped sum is at most twice level l's, and
-            # its threshold (arrays twice as long, and no fewer) at least
-            # twice level l's, so only the lowest waiting level, the one
-            # ``supply.gate`` sums at, can be next.  The last activation
-            # sets ``_need`` to infinity.
-            supply = self.supply
-            while supply.gate >= self._need:
-                self._activate(next(iter(buffers)))
-        released = self.ledger.record(event.user, event.value, count)
-        if released is None:
-            return False
-        level, block_sum, block_size = released
-        if buffers:
-            buffer = buffers.get(level)
-            if buffer is not None:
-                buffer.append(block_sum)
-                return False
-        # on CPython 3.11 a call with unpacked arguments costs about half
-        # of ``_release(*released)``, which the interpreter cannot specialise
-        return self._release(level, block_sum, block_size)
+    # -- branching ---------------------------------------------------------
 
-    def _release(self, level: int, block_sum: float, block_size: int) -> bool:
-        """Feed one block to its level's counter; return whether it was clipped."""
-        interval = self._intervals[level]
-        sigma = block_sum if interval is None else project(interval, block_sum, block_size)
-        i = self._feeds[level]
-        mech = self.mechanisms[i]
-        mech.append(sigma)
-        sums = self._sums
-        sums[i] = mech.sum()
-        self._sum = math.fsum(sums)
-        self.total += block_size
-        return sigma != block_sum
+    def copy(self) -> _EstimatorBase:
+        """An independent twin in this estimator's exact state: stepping
+        either one leaves the other as it was, and the twin publishes, stores
+        and draws exactly what this estimator would from here on.
+
+        Mutable state is copied and immutable state (config, privacy table,
+        counter routing, trace records) shared.  The twin is built without
+        ``__init__``: it copies the budget ledger's entries, so it charges
+        nothing.  It copies the attributes ``__init__`` sets, one by one and
+        in the same order, never through ``__dict__``: on CPython 3.11 an
+        instance whose ``__dict__`` has been materialised loses the inline
+        attribute layout that ``step``'s specialised attribute loads expect.
+        """
+        cls = type(self)
+        twin = cls.__new__(cls)
+        twin.config = self.config
+        twin.t = self.t
+        twin.total = self.total
+        twin.records = self.records[:]
+        twin.table = self.table
+        twin.budget = self.budget.copy()
+        twin.mechanisms = [mech.copy() for mech in self.mechanisms]
+        twin._sum = self._sum
+        twin.ledger = self.ledger.copy()
+        twin.counts = twin.ledger.counts
+        twin.supply = self.supply.copy()
+        twin._last_t = self._last_t
+        twin._diversity_prior = self._diversity_prior
+        twin._diversity_rhs = self._diversity_rhs
+        twin._active = self._active
+        twin._max_t = self._max_t
+        twin._feeds = self._feeds
+        twin._sums = None if self._sums is None else self._sums[:]
+        twin._intervals = self._intervals[:]
+        twin._clamps = self._clamps[:]
+        twin.buffers = {lv: vals[:] for lv, vals in self.buffers.items()}
+        twin.priors = dict(self.priors)
+        twin._history = self._history[:]
+        twin._history_cap = self._history_cap
+        twin._need = self._need
+        return twin
+
+    def diversity(self) -> DiversityReport:
+        cfg = self.config
+        return check_diversity(self.counts, cfg.eps, cfg.delta, cfg.m)
 
 
-_CLASSES = {
-    "naive": NaiveEstimator,
-    "wishful": WishfulEstimator,
-    "single": WithholdReleaseEstimator,
-    "multi": WithholdReleaseEstimator,
-    "full": WithholdReleaseEstimator,
-}
+class WishfulEstimator(_EstimatorBase):
+    """``wishful``: requires user-contiguous arrival, and publishes the
+    prior until the first batch completes."""
+
+    def step(self, event: StreamEvent) -> TraceRecord:
+        # while a batch is open only its user may arrive; a returning user
+        # that already gave all m samples fails the per-user cap first
+        if self.ledger.pending and event.user not in self.counts:
+            self._refuse(event)
+            raise OrderingError(
+                f"user {event.user} at t={self.t + 1} breaks the user-contiguous arrival "
+                "this estimator requires"
+            )
+        return super().step(event)
 
 
 def make_estimator(config: EstimatorConfig) -> _EstimatorBase:
-    return _CLASSES[config.algorithm](config)
+    return (WishfulEstimator if config.algorithm == "wishful" else _EstimatorBase)(config)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-import numbers
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from contmean.estimators import EstimatorConfig, make_estimator, privacy_table, write_trace
+from contmean.estimators import EstimatorConfig, _require_int, make_estimator, privacy_table, write_trace
 from contmean.streams import OrderingSpec, StreamEvent, generate
 
 __all__ = [
@@ -60,13 +59,6 @@ _BLOCK_ENTRIES = 1 << 16  # the most pair differences held at once, over all cou
 
 # --------------------------------------------------------------------------
 # Experiments
-
-
-def _require_int(field: str, value) -> None:
-    # a float time would pass every comparison and fail only mid-run, and
-    # a bool would stand for 0 or 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{field}: {value!r} is not an integer")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 from contmean.median import prior_array_count
 
-__all__ = ["TruncationInterval", "full_prior_split", "interval_full", "interval_single", "project"]
+__all__ = [
+    "TruncationInterval",
+    "clamp_bounds",
+    "full_prior_split",
+    "interval_full",
+    "interval_single",
+    "project",
+]
 
 
 @dataclass(frozen=True)
@@ -94,11 +101,18 @@ def interval_full(
     return TruncationInterval(center=size * prior_ell, half_width=width, level=level)
 
 
+def clamp_bounds(interval: TruncationInterval, block_size: int) -> tuple[float, float]:
+    """The interval intersected with [0, block_size], as (lo, hi): honest
+    sums of ``block_size`` samples in [0, 1] cannot leave that range, so
+    this only tightens the sensitivity."""
+    return max(interval.lo, 0.0), min(interval.hi, float(block_size))
+
+
 def project(interval: TruncationInterval, s: float, block_size: int | None = None) -> float:
     """Clamp s into the interval (identity on interior points), first
-    intersected with [0, block_size] when a block size is given: honest
-    block sums cannot leave that range, so this only tightens the
-    sensitivity."""
+    intersected with [0, block_size] when a block size is given
+    (``clamp_bounds``)."""
     if block_size is None:
         return min(max(s, interval.lo), interval.hi)
-    return min(max(s, max(interval.lo, 0.0)), min(interval.hi, float(block_size)))
+    lo, hi = clamp_bounds(interval, block_size)
+    return min(max(s, lo), hi)

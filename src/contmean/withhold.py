@@ -1,11 +1,18 @@
-"""Per-user exponential withhold-release scheduling.
+"""Per-user release laws: which samples an estimator feeds its counters,
+and when.
 
-A user's samples are released in dyadic bursts: the 1st and 2nd samples are
-released immediately, then the block (3,4] when the 4th arrives, (4,8] when
-the 8th arrives, and so on.  A release fires exactly when the user's count
-hits a power of two, and the released block is the second half of the
-user's samples so far.  At any time at least half of all samples seen have
-been released, whatever the user ordering.
+``UserLedger`` is the exponential withhold-release law of ``single``,
+``multi`` and ``full``.  A user's samples are released in dyadic bursts: the
+1st and 2nd samples are released immediately, then the block (3,4] when the
+4th arrives, (4,8] when the 8th arrives, and so on.  A release fires exactly
+when the user's count hits a power of two, and the released block is the
+second half of the user's samples so far.  At any time at least half of all
+samples seen have been released, whatever the user ordering.
+
+``SampleLedger`` (``naive``) releases every sample on arrival, and
+``BatchLedger`` (``wishful``) withholds each user's samples until all m have
+arrived and releases them as one block.  The three differ only in
+``record``, which an estimator's ``step`` calls once per sample.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-__all__ = ["ReleaseDecision", "UserLedger"]
+__all__ = ["BatchLedger", "ReleaseDecision", "SampleLedger", "UserLedger"]
 
 
 class ReleaseDecision(NamedTuple):
@@ -35,14 +42,15 @@ _WITHHOLD = ReleaseDecision(released=False)
 
 class UserLedger:
     """Tracks per-user sample counts and the values withheld since each
-    user's last release.  Single-owner; not thread-safe."""
+    user's last release, under the dyadic law.  Single-owner; not
+    thread-safe."""
 
     def __init__(self) -> None:
         self.counts: dict[int, int] = {}
         self.pending: dict[int, list[float]] = {}
 
     def on_sample(self, user_id: int, value: float) -> ReleaseDecision:
-        """Record one sample; release iff the user's count becomes 2^level."""
+        """Record one sample under this ledger's law (``record``)."""
         if not math.isfinite(value):
             raise ValueError(f"sample value must be finite, got {value}")
         released = self.record(user_id, value, self.counts.get(user_id, 0))
@@ -91,3 +99,33 @@ class UserLedger:
 
     def samples_seen(self) -> int:
         return sum(self.counts.values())
+
+
+class SampleLedger(UserLedger):
+    """The per-sample law: every sample is released on arrival, as a block
+    of one at level 0, and nothing is withheld."""
+
+    def record(self, user_id: int, value: float, count: int) -> tuple[int, float, int]:
+        self.counts[user_id] = count + 1
+        return 0, value, 1
+
+
+class BatchLedger(UserLedger):
+    """The batch law: a user's samples are withheld until the m-th arrives,
+    then released together as one block of m at level 0."""
+
+    def __init__(self, m: int) -> None:
+        super().__init__()
+        self.m = m
+
+    def record(self, user_id: int, value: float, count: int) -> tuple[int, float, int] | None:
+        self.counts[user_id] = count + 1
+        self.pending.setdefault(user_id, []).append(value)
+        if count + 1 < self.m:
+            return None
+        return 0, math.fsum(self.pending.pop(user_id)), self.m
+
+    def copy(self) -> BatchLedger:
+        twin = super().copy()
+        twin.m = self.m
+        return twin

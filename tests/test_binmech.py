@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contmean.binmech import BinaryMechanism, audit_influence, decompose
@@ -101,6 +101,15 @@ class TestAppendAndSum:
         assert a.noisy_partial_sums == b.noisy_partial_sums
         # earlier entries were never rewritten
         assert a.noisy_partial_sums[:50] == prefix_snapshot
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 1100), st.sampled_from([0.0, 0.5, 1e3]), st.integers(0, 2**32 - 1))
+    @example(1100, 1.0, 7)  # crosses every noise-block refill, blocks of 8, 16, ..., 1,024
+    @example(1100, 0.0, 7)
+    def test_append_returns_the_next_sum(self, length, eta, seed):
+        mech = BinaryMechanism(eta, spawn_rng(seed, 0))
+        for x in np.random.default_rng(seed).uniform(-2.0, 2.0, length).tolist():
+            assert mech.append(x).hex() == mech.sum().hex()
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):

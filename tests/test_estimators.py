@@ -1,6 +1,7 @@
 """The five estimators: schedules, denominators, noise scales, budgets."""
 
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import contmean
 from contmean.estimators import (
     ALGORITHMS,
     CappedSupply,
@@ -28,9 +30,10 @@ from contmean.estimators import (
     single_noise_scale,
     write_trace,
 )
-from contmean.median import MedianRequest, private_median
+from contmean.median import MedianRequest, array_size, private_median
 from contmean.noise import spawn_rng
 from contmean.streams import OrderingSpec, StreamEvent, generate
+from contmean.truncate import project
 from oracles import activation_threshold, noiseless_estimates, reference_trace_csv
 from test_golden import SETTINGS as GOLDEN_SETTINGS
 
@@ -93,6 +96,93 @@ class TestConfigValidation:
             EstimatorConfig(
                 algorithm="single", n=2, m=4, eps=1, delta=0.1, prior=0.5, prior_override=0.5
             )
+
+    @pytest.mark.parametrize("algorithm", ["naive", "multi"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 2.5), ("n", True), ("n", "2"), ("m", 4.0), ("m", False), ("T", 8.5), ("T", True),
+         ("seed", 1.5), ("seed", True)],
+    )
+    def test_non_integer_rejected_by_name(self, algorithm, field, value):
+        # m = 4.0 used to die in CappedSupply with a TypeError, and n = 2.5
+        # or T = 8.5 calibrated the noise to a fractional count
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            EstimatorConfig(algorithm, eps=1, delta=0.1, **{"n": 2, "m": 4, "T": 8, field: value},
+                            **({"prior": 0.5} if algorithm == "multi" else {}))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_negative_seed_rejected_before_any_step(self, algorithm):
+        # it used to fail in the first step's noise draw, after ``t``,
+        # ``counts`` and ``supply`` had moved
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1"):
+            any_config(algorithm, n=2, m=4, T=8, eps=1, delta=0.1, seed=-1)
+
+    def test_numpy_integers_accepted(self):
+        kw = dict(n=2, m=4, T=8, eps=1.0, delta=0.1, prior=0.5, seed=3)
+        numpy_kw = dict(kw, n=np.int64(2), m=np.int32(4), T=np.int64(8), seed=np.uint8(3))
+        events = events_of([1, 1, 2, 1, 2], [1.0, 0.25, 0.0, 1.0, 0.5])
+        plain = make_estimator(EstimatorConfig("multi", **kw)).run(events)
+        assert make_estimator(EstimatorConfig("multi", **numpy_kw)).run(events) == plain
+
+
+def calls_in_step(est, event) -> list[str]:
+    """The package's functions that ``est.step(event)`` calls, by qualified
+    name in call order, counted with ``sys.setprofile``: Python-level calls
+    only, and not the record's generated ``__init__``, which lives outside
+    the package."""
+    package = os.path.dirname(contmean.__file__)
+    names = []
+
+    def profile(frame, what, _arg):
+        if what == "call" and frame.f_code.co_filename.startswith(package):
+            names.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        est.step(event)
+    finally:
+        sys.setprofile(None)
+    return names[1:]  # the step called here
+
+
+RELEASE = ["_EstimatorBase._release", "BinaryMechanism.append"]
+
+
+class TestCallBudget:
+    """The Python calls one ``step`` makes: the release law's ``record`` on
+    a withheld sample, and the route to the counter on a release.  Runs are
+    noiseless, so no noise block is drawn, and M_t stays put, so the ``div``
+    threshold is not recomputed."""
+
+    # (algorithm, users stepped first, the user whose sample is counted, calls)
+    CASES = [
+        # user 2's 3rd sample: withheld, and user 1 already holds 5
+        *[(alg, [1] * 5 + [2, 2], 2, ["UserLedger.record"]) for alg in ("single", "multi", "full")],
+        # user 2's 4th sample releases level 2; ``full``'s level 2 waits
+        ("single", [1] * 5 + [2] * 3, 2, ["UserLedger.record", *RELEASE]),
+        ("multi", [1] * 5 + [2] * 3, 2, ["UserLedger.record", *RELEASE]),
+        ("full", [1] * 5 + [2] * 3, 2, ["UserLedger.record", "_EstimatorBase._release"]),
+        ("naive", [1] * 5 + [2] * 3, 2, ["SampleLedger.record", *RELEASE]),
+        ("wishful", [1] * 8 + [2] * 2, 2, ["_EstimatorBase.step", "BatchLedger.record"]),
+        ("wishful", [1] * 8 + [2] * 7, 2, ["_EstimatorBase.step", "BatchLedger.record", *RELEASE]),
+    ]
+
+    @pytest.mark.parametrize("algorithm, users, user, expected", CASES)
+    def test_calls_per_step(self, algorithm, users, user, expected):
+        est = make_estimator(any_config(algorithm, n=3, m=8, T=24, eps=1.0, delta=0.1, noise_override=0.0))
+        est.run(events_of(users, [0.5] * len(users)))
+        max_count = est.supply.max_count
+        assert calls_in_step(est, StreamEvent(t=len(users) + 1, user=user, value=0.5)) == expected
+        assert est.supply.max_count == max_count and est.priors == {}
+
+    def test_full_withheld_sample_with_tracked_history(self):
+        # a waiting level keeps the history; that costs no call either
+        est = make_estimator(noiseless_config("full", n=300, m=16, eps=50.0, delta=0.5))
+        users = [1] * 6 + [2] * 2
+        est.run(events_of(users, [0.5] * len(users)))
+        assert est.buffers and est._history_cap > 2
+        assert calls_in_step(est, StreamEvent(t=9, user=2, value=0.5)) == ["UserLedger.record"]
+        assert len(est._history) == 9
 
 
 class TestNaive:
@@ -431,43 +521,75 @@ class TestFullGates:
 
 @st.composite
 def supply_cases(draw):
-    """(m, caps, ops): caps to probe after every op, and a list of
-    ("add", user, repeats) and ("gate", cap) ops, the latter re-capping the
-    gate as an activation does.  Probe caps are integers and halves, 0 and
-    values above m among them."""
-    m = draw(st.integers(1, 1024))
+    """(config, events, caps): a noiseless ``full`` run, whose activations
+    re-cap the gate, with at most m samples per user, and caps to probe
+    after every event.  Probe caps are integers and halves, 0 and values
+    above m among them."""
+    m = draw(st.integers(2, 64))
+    n = draw(st.integers(1, 30))
+    counts: dict[int, int] = {}
+    users = []
+    for user in draw(st.lists(st.integers(1, n), max_size=120)):
+        if counts.get(user, 0) < m:
+            counts[user] = counts.get(user, 0) + 1
+            users.append(user)
+    config = EstimatorConfig(
+        algorithm="full", n=n, m=m, eps=draw(st.sampled_from([1.0, 50.0, 3000.0])), delta=0.5,
+        prior_override=0.5, noise_override=0.0,
+    )
     caps = st.one_of(
         st.just(0),
         st.integers(0, m + 2),
         st.integers(0, 2 * m + 4).map(lambda k: k / 2.0),
         st.integers(m + 1, 4 * m).map(float),
     )
-    ops = st.one_of(
-        st.tuples(st.just("add"), st.integers(1, 4), st.integers(1, m)),
-        st.tuples(st.just("gate"), st.integers(0, m + 2)),
+    return config, events_of(users, [0.5] * len(users)), draw(st.lists(caps, min_size=1, max_size=3))
+
+
+def _supply_case(m, users, probes):
+    config = EstimatorConfig(
+        algorithm="full", n=3, m=m, eps=1.0, delta=0.5, prior_override=0.5, noise_override=0.0
     )
-    return m, draw(st.lists(caps, min_size=1, max_size=3)), draw(st.lists(ops, max_size=20))
+    return config, events_of(users, [0.5] * len(users)), probes
+
+
+def _activating_supply_case(ordering):
+    # levels 2, 3 and 4 activate at t = 20, 44 and 96 (as in ``_full_copy_case``)
+    n, m = 300, 16
+    config = EstimatorConfig(
+        algorithm="full", n=n, m=m, eps=50.0, delta=0.5, seed=1, prior_override=0.5, noise_override=0.0
+    )
+    return config, generate(0.5, n, m, 120, OrderingSpec(ordering), seed=1), [8.5, 0, 40.0]
 
 
 class TestCappedSupply:
-    """``half``, ``gate`` and every recount equal sum_u min(c_u, cap),
-    counted user by user, and ``add`` reports each rise of M_t."""
+    """``step`` keeps ``half``, ``gate`` and ``max_count`` equal to their
+    definitions, counted user by user after every sample, and so does every
+    recount; an activation re-caps the gate."""
 
     @settings(max_examples=120, deadline=None)
     @given(supply_cases())
-    @example((1024, [512.5, 0, 2000.0], [("add", 1, 1024), ("gate", 3), ("add", 2, 5), ("gate", 0), ("add", 3, 2)]))
-    @example((8, [4], [("add", 1, 3), ("add", 2, 2), ("add", 3, 1), ("add", 1, 2), ("add", 2, 4)]))
+    @example(_activating_supply_case("round_robin"))
+    @example(_activating_supply_case("uniform_random"))
+    @example(_supply_case(1024, [1] * 1024 + [2] * 5 + [3] * 2, [512.5, 0, 2000.0]))  # a user reaches m
+    @example(_supply_case(8, [1] * 3 + [2] * 2 + [3] + [1] * 2 + [2] * 4, [4]))
     def test_sums_equal_brute_force(self, case):
-        m, probes, ops = case
-        supply = CappedSupply(m, track_half=True)
-        bare = CappedSupply(m, track_half=False)
-        counts = {}
+        config, events, probes = case
+        m = config.m
+        est = make_estimator(config)
+        bare = make_estimator(dataclasses.replace(config, track_diversity=False))
+        supply, counts = est.supply, est.counts
 
         def capped(cap):
             return sum(min(c, cap) for c in counts.values())
 
-        def check():
-            max_count = max(counts.values(), default=0)
+        recaps = 0
+        for ev in events:
+            gate_cap = supply.gate_cap
+            est.step(ev)
+            bare.step(ev)
+            recaps += supply.gate_cap != gate_cap
+            max_count = max(counts.values())
             assert supply.max_count == max_count
             assert supply.half == capped(max_count / 2)
             assert supply.gate == capped(supply.gate_cap)
@@ -475,26 +597,51 @@ class TestCappedSupply:
                 assert supply.capped_sum(cap) == capped(cap)
             assert supply.at_least[1:] == [sum(c >= k for c in counts.values()) for k in range(1, m + 2)]
             # without the flag's sum, the supply is the same in all else
-            assert bare.half is None
-            assert [getattr(bare, f) for f in CappedSupply.__slots__ if f != "half"] == [
+            assert bare.supply.half is None
+            assert [getattr(bare.supply, f) for f in CappedSupply.__slots__ if f != "half"] == [
                 getattr(supply, f) for f in CappedSupply.__slots__ if f != "half"
             ]
+        # an activation re-caps the gate, at most once per level
+        assert (recaps > 0) == bool(est.priors) and recaps <= len(est.priors)
+        if config.n == 300:  # the two examples: every level activates
+            assert sorted(est.priors) == [2, 3, 4]
 
-        for op in ops:
-            if op[0] == "add":
-                _, user, repeats = op
-                for _ in range(min(repeats, m - counts.get(user, 0))):
-                    count = counts.get(user, 0)
-                    rose = count == supply.max_count
-                    counts[user] = count + 1
-                    assert supply.add(count) == rose
-                    assert bare.add(count) == rose
-                    check()
-            else:
-                for s in (supply, bare):
-                    s.gate_cap = op[1]
-                    s.gate = s.capped_sum(op[1])
-                check()
+
+@functools.cache
+def clamping_estimators() -> tuple:
+    """A ``wishful``, ``single``, ``multi`` and ``full`` estimator with their
+    intervals set; ``full``'s levels 2, 3 and 4 have activated."""
+    n, m = 300, 16
+    ests = []
+    for algorithm in ("wishful", "single", "multi", "full"):
+        est = make_estimator(any_config(algorithm, n=n, m=m, T=n * m, eps=50.0, delta=0.5, seed=1))
+        ordering = "contiguous" if algorithm == "wishful" else "round_robin"
+        est.run(generate(0.5, n, m, 120, OrderingSpec(ordering), seed=1))
+        ests.append(est)
+    return tuple(ests)
+
+
+class TestClampBounds:
+    """The bounds ``_release`` clamps a block with are those ``project``
+    intersects the level's interval with: the same result, bit for bit."""
+
+    def test_every_family_has_intervals(self):
+        levels = {est.config.algorithm: [lv for lv, iv in enumerate(est._intervals) if iv] for est in clamping_estimators()}
+        assert levels == {"wishful": [0], "single": [1, 2, 3, 4], "multi": [1, 2, 3, 4], "full": [2, 3, 4]}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.floats(-40.0, 40.0), st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 1.0, 8.0, 16.0]),
+    ))
+    def test_bounds_give_project(self, s):
+        for est in clamping_estimators():
+            for level, (interval, bounds) in enumerate(zip(est._intervals, est._clamps)):
+                if interval is None:
+                    assert bounds is None
+                    continue
+                size = est.config.m if est.config.algorithm == "wishful" else array_size(level)
+                lo, hi = bounds
+                assert min(max(s, lo), hi).hex() == project(interval, s, size).hex()
 
 
 def set_fields(obj) -> list[str]:

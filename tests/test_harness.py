@@ -135,6 +135,20 @@ class TestSpecFields:
         assert f"precondition violation: {field}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field,value", [("T", 8.5), ("m", 4.0), ("n", 4.0), ("n", True), ("seed", 2.5)])
+    def test_cli_config_non_integer_exit_code_two(self, tmp_path, capsys, field, value):
+        # T = 8.5 used to run, calibrated with log2(8.5), and m = 4.0 to exit
+        # with a TypeError's text
+        run_spec = {
+            "algorithm": "naive", "n": 4, "m": 8, "eps": 1.0, "delta": 0.1, "T": 16,
+            "mu": 0.5, "ordering": "round_robin", "trials": 1, "checkpoints": [4], field: value,
+        }
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(run_spec))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"precondition violation: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ordering_must_be_an_ordering_spec(self):
         # it used to fail mid-run with an AttributeError
         with pytest.raises(ValueError, match="^ordering: 'round_robin' is not an OrderingSpec"):
