@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from contmean.binmech import BinaryMechanism
 from contmean.median import MedianRequest, array_size, arrays_required, private_median
 from contmean.noise import BudgetLedger, spawn_rng
-from contmean.streams import StreamEvent
+from contmean.streams import StreamEvent, _require_int
 from contmean.truncate import (
     TruncationInterval,
     clamp_bounds,
@@ -199,14 +198,6 @@ def full_noise_scale(m: int, n: int, level: int, eps: float, delta: float) -> fl
 
 
 # --------------------------------------------------------------------------
-
-
-def _require_int(field: str, value) -> None:
-    # a float count would pass every comparison and fail only mid-run (or
-    # calibrate the noise to a fractional n, m or T), and a bool would stand
-    # for 0 or 1; numpy integers are integers
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{field}: {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -548,6 +539,10 @@ class _EstimatorBase:
         order ``step`` checks them; return if none does."""
         cfg = self.config
         user = event.user
+        # each counter's row assumes at most n users; a fractional id would
+        # be one more.  An id equal to an admitted one is that user
+        if user not in self.counts:
+            _require_int("user", user)
         if not 1 <= user <= cfg.n:
             raise ValueError(f"user {user} outside [1, {cfg.n}]")
         # the noise is calibrated to samples in [0, 1]; NaN fails this too
@@ -565,9 +560,10 @@ class _EstimatorBase:
         user = event.user
         count = self.counts.get(user, 0)
         # every check of ``_refuse`` in one test, so a rejected event
-        # changes no state
+        # changes no state; only a new user's id needs its type checked
         if not (
-            1 <= user <= cfg.n
+            (count or user.__class__ is int)
+            and 1 <= user <= cfg.n
             and 0.0 <= event.value <= 1.0
             and event.t > self._last_t
             and count < cfg.m

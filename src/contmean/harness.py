@@ -36,8 +36,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from contmean.estimators import EstimatorConfig, _require_int, make_estimator, privacy_table, write_trace
-from contmean.streams import OrderingSpec, StreamEvent, generate
+from contmean.estimators import EstimatorConfig, make_estimator, privacy_table, write_trace
+from contmean.streams import OrderingSpec, StreamEvent, _require_int, generate
 
 __all__ = [
     "AuditMechanismReport",

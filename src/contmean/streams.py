@@ -32,6 +32,19 @@ ORDERING_KINDS = ("contiguous", "round_robin", "uniform_random", "single_user_pr
 _HEADER = ["t", "user", "value"]
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer: numpy integers are; bools (which
+    would stand for 0 or 1) and integral floats are not.  A float count
+    would pass every comparison and fail only mid-run, or calibrate the
+    noise to a fractional n, m or T."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_int(field: str, value) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{field}: {value!r} is not an integer")
+
+
 class StreamParseError(ValueError):
     """Malformed stream file; carries the offending 1-based line number."""
 
@@ -69,7 +82,7 @@ class OrderingSpec:
         # 0 would stand for the full cap and -1 drop user 1; a float fails
         # only inside ``generate``
         p = self.prefix_len
-        if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1):
+        if p is not None and not (_is_int(p) and p >= 1):
             raise ValueError(f"prefix_len must be a positive integer, got {p!r}")
 
 

@@ -13,6 +13,10 @@ samples seen have been released, whatever the user ordering.
 ``BatchLedger`` (``wishful``) withholds each user's samples until all m have
 arrived and releases them as one block.  The three differ only in
 ``record``, which an estimator's ``step`` calls once per sample.
+
+Each keeps two numbers per user: a count, and, while the user has samples
+withheld, their running sum in ``pending``; how many are withheld follows
+from the count.
 """
 
 from __future__ import annotations
@@ -41,13 +45,13 @@ _WITHHOLD = ReleaseDecision(released=False)
 
 
 class UserLedger:
-    """Tracks per-user sample counts and the values withheld since each
-    user's last release, under the dyadic law.  Single-owner; not
-    thread-safe."""
+    """Tracks per-user sample counts and, for each user with withheld
+    samples, their running sum since the user's last release, under the
+    dyadic law.  Single-owner; not thread-safe."""
 
     def __init__(self) -> None:
         self.counts: dict[int, int] = {}
-        self.pending: dict[int, list[float]] = {}
+        self.pending: dict[int, float] = {}
 
     def on_sample(self, user_id: int, value: float) -> ReleaseDecision:
         """Record one sample under this ledger's law (``record``)."""
@@ -61,32 +65,29 @@ class UserLedger:
         before it; return ``(level, block_sum, block_size)`` when the new
         count is 2^level, else None.
 
+        A block sums its samples in arrival order, ((0.0 + v1) + v2) + ...,
+        one running sum per user; values on a dyadic grid sum exactly.
         ``count`` must equal ``counts.get(user_id, 0)``: the caller has read
         it, so this reads no count and checks no value.
         """
         count += 1
         self.counts[user_id] = count
         if count & (count - 1):  # not a power of two: withhold
-            block = self.pending.get(user_id)
-            if block is None:
-                self.pending[user_id] = [value]
-            else:
-                block.append(value)
+            pending = self.pending
+            pending[user_id] = pending.get(user_id, 0.0) + value
             return None
         if count < 4:
             # levels 0 and 1 find nothing withheld: the block is this
-            # sample, summed as fsum sums one value (a float, zero unsigned)
+            # sample, 0.0 + value (a float, zero unsigned)
             return count - 1, float(value) + 0.0, 1
-        block = self.pending.pop(user_id)
-        block.append(value)
-        return count.bit_length() - 1, math.fsum(block), count >> 1
+        return count.bit_length() - 1, self.pending.pop(user_id) + value, count >> 1
 
     def copy(self) -> UserLedger:
-        """An independent ledger with the same counts and withheld values."""
+        """An independent ledger with the same counts and withheld sums."""
         cls = type(self)
         twin = cls.__new__(cls)
         twin.counts = dict(self.counts)
-        twin.pending = {user: block[:] for user, block in self.pending.items()}
+        twin.pending = dict(self.pending)
         return twin
 
     def released_info_count(self) -> int:
@@ -94,8 +95,9 @@ class UserLedger:
         return self.samples_seen() - self.pending_count()
 
     def pending_count(self) -> int:
-        """Samples currently withheld across all users."""
-        return sum(map(len, self.pending.values()))
+        """Samples currently withheld across all users: past a user's last
+        power of two, c - 2^floor(log2 c) of its c samples."""
+        return sum(c - (1 << (c.bit_length() - 1)) for c in self.counts.values())
 
     def samples_seen(self) -> int:
         return sum(self.counts.values())
@@ -109,6 +111,9 @@ class SampleLedger(UserLedger):
         self.counts[user_id] = count + 1
         return 0, value, 1
 
+    def pending_count(self) -> int:
+        return 0
+
 
 class BatchLedger(UserLedger):
     """The batch law: a user's samples are withheld until the m-th arrives,
@@ -120,10 +125,15 @@ class BatchLedger(UserLedger):
 
     def record(self, user_id: int, value: float, count: int) -> tuple[int, float, int] | None:
         self.counts[user_id] = count + 1
-        self.pending.setdefault(user_id, []).append(value)
         if count + 1 < self.m:
+            pending = self.pending
+            pending[user_id] = pending.get(user_id, 0.0) + value
             return None
-        return 0, math.fsum(self.pending.pop(user_id)), self.m
+        # at m = 1 nothing is pending
+        return 0, self.pending.pop(user_id, 0.0) + value, self.m
+
+    def pending_count(self) -> int:
+        return sum(c for c in self.counts.values() if c < self.m)
 
     def copy(self) -> BatchLedger:
         twin = super().copy()

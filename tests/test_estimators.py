@@ -906,6 +906,37 @@ class TestInputValidation:
         assert est.t == 0 and est.counts == {} and est.records == []
         est.step(StreamEvent(t=1, user=1, value=1.0))  # the boundary is allowed
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("user", [1.5, 1.0, "1", True, None])
+    def test_user_id_must_be_an_integer(self, algorithm, user):
+        est = make_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
+        est.step(StreamEvent(t=1, user=2, value=1.0))
+        before = estimator_state(est)
+        with pytest.raises(ValueError, match="^user: .* is not an integer"):
+            est.step(StreamEvent(t=2, user=user, value=1.0))
+        assert estimator_state(est) == before
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_numpy_integer_user_accepted(self, algorithm):
+        est = make_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1, noise_override=0.0))
+        est.run(events_of([np.int64(3), 3, np.int32(3)], [1.0, 0.0, 1.0]))
+        assert est.counts == {3: 3}
+
+    @pytest.mark.parametrize("algorithm", ["naive", "single", "multi", "full"])
+    def test_fractional_ids_add_no_counter_element(self, algorithm):
+        # at n = 2 every counter's row assumes at most 2 users; five ids in
+        # [1, 2] once made a 5-element level-0 counter, whose first element
+        # lies in 3 partial sums against the row's 2
+        est = make_estimator(any_config(algorithm, n=2, m=4, T=5, eps=1.0, delta=0.1))
+        for t, user in enumerate([1, 1.25, 1.5, 1.75, 2], start=1):
+            if user.__class__ is int:
+                est.step(StreamEvent(t=t, user=user, value=1.0))
+            else:
+                with pytest.raises(ValueError, match="is not an integer"):
+                    est.step(StreamEvent(t=t, user=user, value=1.0))
+        assert est.counts == {1: 1, 2: 1}
+        assert sum(map(len, est.mechanisms)) == 2
+
     @pytest.mark.parametrize(
         "field, value",
         [

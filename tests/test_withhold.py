@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contmean.withhold import _WITHHOLD, ReleaseDecision, UserLedger
+from contmean.withhold import _WITHHOLD, BatchLedger, ReleaseDecision, UserLedger
 
 
 def drive(users, values=None):
@@ -67,9 +68,10 @@ class TestReleasedInfoCount:
         assert ledger.released_info_count() == 8
 
     def test_single_user_seven_samples(self):
-        ledger, _ = drive([1] * 7)
+        # unit values: a user's withheld sum counts its withheld samples
+        ledger, _ = drive([1] * 7, [1.0] * 7)
         assert ledger.released_info_count() == 4
-        assert len(ledger.pending[1]) == 3
+        assert ledger.pending[1] == 3.0
 
     def test_pending_size_law(self):
         # pending = M - 2^floor(log2 M) except right after a release
@@ -78,7 +80,8 @@ class TestReleasedInfoCount:
             ledger.on_sample(3, 1.0)
             m = ledger.counts[3]
             expected = 0 if m & (m - 1) == 0 else m - (1 << (m.bit_length() - 1))
-            assert len(ledger.pending.get(3, [])) == expected
+            assert ledger.pending.get(3, 0.0) == expected
+            assert ledger.pending_count() == expected
 
     def test_exhaustive_half_released_small(self):
         # every ordering over up to 3 users, lengths 1..7
@@ -94,11 +97,12 @@ class TestReleasedInfoCount:
     def test_half_released_property(self, users):
         ledger = UserLedger()
         for t, u in enumerate(users, start=1):
-            ledger.on_sample(u, 0.0)
+            ledger.on_sample(u, 1.0)
             assert ledger.released_info_count() >= math.ceil(t / 2)
-            # per-user: withheld never exceeds released
+            # per-user: withheld never exceeds released (unit values, so a
+            # withheld sum counts the samples withheld)
             for uu, cnt in ledger.counts.items():
-                held = len(ledger.pending.get(uu, []))
+                held = ledger.pending.get(uu, 0.0)
                 assert held <= cnt - held
 
 
@@ -121,8 +125,9 @@ class TestBlockPartition:
             blocks = covered.get(u, [])
             flat = [i for lo, hi in blocks for i in range(lo, hi + 1)]
             assert flat == list(range(1, 2 ** (cnt.bit_length() - 1) + 1))
-            assert len(ledger.pending.get(u, [])) == cnt - len(flat)
-        pending = sum(len(v) for v in ledger.pending.values())
+            # unit values: the withheld sum counts the withheld samples
+            assert ledger.pending.get(u, 0.0) == cnt - len(flat)
+        pending = sum(ledger.pending.values())
         assert ledger.released_info_count() + pending == ledger.samples_seen()
 
 
@@ -139,3 +144,98 @@ class TestReleaseDecision:
         withheld = ledger.on_sample(1, 0.5)
         assert withheld is _WITHHOLD and not withheld.released
         assert ledger.on_sample(1, 0.25) == ReleaseDecision(True, 2, 0.75, 2)
+
+
+def arrival_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def released_blocks(ledger, users, values, cap=math.inf):
+    """Drive ``ledger`` as ``step`` does, skipping a user's samples past
+    ``cap``; return each release's block sum beside the user's samples the
+    block covers."""
+    seen: dict[int, list[float]] = {}
+    out = []
+    for u, v in zip(users, values):
+        held = seen.setdefault(u, [])
+        if len(held) >= cap:
+            continue
+        released = ledger.record(u, v, len(held))
+        held.append(v)
+        if released is not None:
+            _, block_sum, block_size = released
+            out.append((block_sum, held[len(held) - block_size :]))
+    return out
+
+
+# the users of a stream's events, up to four of them
+user_streams = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=150)
+
+
+class TestBlockSums:
+    """A released block is the running sum of its samples in arrival order,
+    ((0.0 + v1) + v2) + ... + vk: one float per user with samples withheld."""
+
+    @given(user_streams, st.data())
+    @settings(max_examples=200)
+    def test_any_values_sum_in_arrival_order(self, users, data):
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(users), max_size=len(users)))
+        m = data.draw(st.integers(1, 40))
+        for ledger, cap in ((UserLedger(), math.inf), (BatchLedger(m), m)):
+            for block_sum, block in released_blocks(ledger, users, values, cap):
+                assert block_sum.hex() == arrival_sum(block).hex()
+
+    @given(user_streams, st.integers(0, 40), st.data())
+    @settings(max_examples=200)
+    def test_grid_values_sum_as_fsum(self, users, k, data):
+        # on the grid 2^-k every partial sum of up to 64 values in [0, 1]
+        # is exact, so the order cannot matter
+        steps = st.integers(0, 1 << k).map(lambda i: i / (1 << k))
+        values = data.draw(st.lists(steps, min_size=len(users), max_size=len(users)))
+        m = data.draw(st.integers(1, 40))
+        for ledger, cap in ((UserLedger(), math.inf), (BatchLedger(m), m)):
+            for block_sum, block in released_blocks(ledger, users, values, cap):
+                assert block_sum.hex() == math.fsum(block).hex()
+
+
+class TestConstantState:
+    """A user's withheld samples are one float, however many there are."""
+
+    @pytest.mark.parametrize("law", ["dyadic", "batch"])
+    def test_withheld_samples_allocate_nothing(self, law):
+        # counts 97..127 are withheld under both laws: in the block
+        # (64, 128] under the dyadic law, in the open batch under the batch law
+        ledger, withheld = (UserLedger(), 127 - 64) if law == "dyadic" else (BatchLedger(128), 127)
+
+        def traced_growth(counts):
+            before = tracemalloc.get_traced_memory()[0]
+            for c in counts:
+                ledger.record(1, c / 128, c)
+            return tracemalloc.get_traced_memory()[0] - before
+
+        tracemalloc.start()
+        try:
+            # the first samples also fill the interpreter's free list of
+            # floats, which stays traced
+            traced_growth(range(96))
+            idle = traced_growth(())  # what measuring itself allocates
+            grown = traced_growth(range(96, 127))
+        finally:
+            tracemalloc.stop()
+        assert ledger.counts[1] == 127 and ledger.pending_count() == withheld
+        # a list of the samples would grow by more than a float per sample
+        assert grown <= idle
+
+
+class TestPendingCount:
+    @given(user_streams, st.integers(1, 40))
+    def test_derived_from_counts(self, users, m):
+        # unit values: each withheld sum counts its user's withheld samples
+        for ledger in (UserLedger(), BatchLedger(m)):
+            for u in users:
+                if ledger.counts.get(u, 0) < m:
+                    ledger.on_sample(u, 1.0)
+                    assert ledger.pending_count() == sum(ledger.pending.values())
