@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -534,42 +535,54 @@ class _EstimatorBase:
 
     # -- common loop -------------------------------------------------------
 
-    def _refuse(self, event: StreamEvent) -> None:
+    def _refuse(self, event: StreamEvent) -> float:
         """Raise the first ``ValueError`` that applies to ``event``, in the
-        order ``step`` checks them; return if none does."""
+        order ``step`` checks them; if none does, return the sample value
+        as a Python float, the value ``step`` records."""
         cfg = self.config
         user = event.user
+        value = event.value
         # each counter's row assumes at most n users; a fractional id would
         # be one more.  An id equal to an admitted one is that user
         if user not in self.counts:
             _require_int("user", user)
         if not 1 <= user <= cfg.n:
             raise ValueError(f"user {user} outside [1, {cfg.n}]")
+        # a value that only compares with floats (a Decimal) would fail
+        # inside the ledger's running sum, after the counts have moved
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"sample value {value!r} is not a real number")
         # the noise is calibrated to samples in [0, 1]; NaN fails this too
-        if not 0.0 <= event.value <= 1.0:
-            raise ValueError(f"sample value {event.value!r} outside [0, 1]")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"sample value {value!r} outside [0, 1]")
         if event.t <= self._last_t:
             raise ValueError(f"t={event.t} does not increase past {self._last_t}")
         if self.counts.get(user, 0) >= cfg.m:
             raise ValueError(f"user {user} exceeds the per-user cap m={cfg.m}")
         if self.t >= self._max_t:
             raise ValueError(f"stream longer than configured T={cfg.T}")
+        # the ledger's running sums stay Python floats: a float32 sample
+        # would make its user's a float32
+        return float(value)
 
     def step(self, event: StreamEvent) -> TraceRecord:
         cfg = self.config
         user = event.user
+        value = event.value
         count = self.counts.get(user, 0)
         # every check of ``_refuse`` in one test, so a rejected event
-        # changes no state; only a new user's id needs its type checked
+        # changes no state; only a new user's id needs its type checked, and
+        # a value that is not a float takes the slow path, which converts it
         if not (
             (count or user.__class__ is int)
             and 1 <= user <= cfg.n
-            and 0.0 <= event.value <= 1.0
+            and value.__class__ is float
+            and 0.0 <= value <= 1.0
             and event.t > self._last_t
             and count < cfg.m
             and self.t < self._max_t
         ):
-            self._refuse(event)
+            value = self._refuse(event)
         self.t += 1
         self._last_t = event.t
 
@@ -610,7 +623,7 @@ class _EstimatorBase:
                 while supply.gate >= self._need:
                     self._activate(next(iter(self.buffers)))
 
-        released = self.ledger.record(user, event.value, count)
+        released = self.ledger.record(user, value, count)
         if released is None:
             flags = ()
         else:

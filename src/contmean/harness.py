@@ -14,12 +14,14 @@ compares the realized change in the stored partial sums against the bound
 that calibrates the Laplace noise.  The neighbors are replayed along their
 shared prefixes: a replay branches into an estimator ``copy()`` at each of
 the changed user's samples, so an event is stepped once per branch it lies
-on, not once per neighbor.  An audit's runs form one float64 matrix, a row
-per run holding every counter's partial sums side by side, and its pairs
-of runs are compared a tile at a time: a block of left runs against a
-block of right runs, their differences one broadcast subtraction for all
-counters, and each counter's l1 shift summed in the order numpy sums one
-counter's row.
+on, not once per neighbor.  A walk starts from a copy of one cached
+estimator per audited config, built at the config's first audit, and the
+config's counter bounds are cached too.  An audit's runs form one float64
+matrix, a row per run holding every counter's partial sums side by side,
+and its pairs of runs are compared a tile at a time: a block of left runs
+against a block of right runs, their differences one broadcast subtraction
+for all counters, and each counter's l1 shift summed in the order numpy
+sums one counter's row.
 """
 
 from __future__ import annotations
@@ -270,6 +272,13 @@ def _audit_config(config: EstimatorConfig) -> EstimatorConfig:
     return dataclasses.replace(config, **updates)
 
 
+@functools.lru_cache(maxsize=64)
+def _audit_root(config: EstimatorConfig):
+    """The estimator every replay of an audited ``config`` starts from, as
+    a ``copy()``; it is never stepped itself."""
+    return make_estimator(config)
+
+
 def _check_layout(widths: list[int], other: list[int], count: int) -> None:
     """Neighbor runs must store ``count`` counters with the same entry counts."""
     if len(widths) != count or len(other) != count:
@@ -278,10 +287,11 @@ def _check_layout(widths: list[int], other: list[int], count: int) -> None:
         raise AssertionError("partial-sum layout changed between neighbor runs")
 
 
-def _per_mechanism_bounds(config: EstimatorConfig) -> list[tuple[str, float, float]]:
+@functools.lru_cache(maxsize=64)
+def _per_mechanism_bounds(config: EstimatorConfig) -> tuple[tuple[str, float, float], ...]:
     """(label, entry_count_bound, l1_bound) per mechanism, from its privacy-table row."""
     table = privacy_table(config)
-    return [(row.counter, row.entries, row.sensitivity) for row in table if row.counter is not None]
+    return tuple((row.counter, row.entries, row.sensitivity) for row in table if row.counter is not None)
 
 
 class _Runs(NamedTuple):
@@ -300,7 +310,8 @@ def _value_grid_runs(
     that sets position j to bit j of ``mask``.
 
     Assignments that agree on the first j positions share their state up
-    to position j + 1, so the replays walk a binary tree depth first: the
+    to position j + 1, so the replays walk a binary tree depth first, from
+    a copy of the config's cached root estimator: the
     events before the next position are stepped once per node, and at the
     position the estimator branches into a ``copy()`` that takes 1.0 while
     the original takes 0.0.  An event is stepped 2^c times, c the number of
@@ -316,7 +327,9 @@ def _value_grid_runs(
     # the events between positions, and each position's two values
     starts = [0, *(p + 1 for p in positions)]
     segments = [events[a:b] for a, b in zip(starts, [*positions, len(events)])]
-    branches = [(events[p]._replace(value=0.0), events[p]._replace(value=1.0)) for p in positions]
+    branches = [
+        (StreamEvent(t, user, 0.0), StreamEvent(t, user, 1.0)) for t, user, _ in (events[p] for p in positions)
+    ]
     buffer = array("d")
     widths: list[int] = []
     masks: list[int] = []  # leaves in walk order
@@ -345,7 +358,7 @@ def _value_grid_runs(
         twin.step(one)
         walk(twin, depth + 1, mask | (1 << depth))
 
-    walk(make_estimator(config), 0, 0)
+    walk(_audit_root(config).copy(), 0, 0)
     walked = np.frombuffer(buffer).reshape(len(masks), sum(widths))
     sums = np.empty_like(walked)
     sums[masks] = walked
@@ -463,7 +476,7 @@ def audit_value_grid(
     difference (they cancel), so they are fixed at zero.
     """
     config = _audit_config(config)
-    events = [StreamEvent(t=i + 1, user=u, value=0.0) for i, u in enumerate(users)]
+    events = [StreamEvent(t, u, 0.0) for t, u in enumerate(users, start=1)]
     positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
     variants = _value_grid_runs(config, events, positions)
     # every i < j; a user without samples has one variant and no pair,

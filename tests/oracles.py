@@ -5,12 +5,13 @@ the release schedule and denominator accounting, kept free of the package's
 mechanism/estimator classes so they can serve as oracles for noiseless
 runs.  ``noisy_counter`` takes only the dyadic decomposition and the scalar
 Laplace draw from the package.  ``reference_trace_csv`` writes trace records
-through ``csv.writer``.  The ``reference_audit_*`` functions replay an audit
-through ``make_estimator`` as the auditor does, but compare its neighbor
-runs one numpy pair at a time, in ``reference_diff_report``.  The
-``reference_*`` median functions pack, snap and count one array at a time
-in Python loops, as the package did before those steps became whole-array
-numpy operations.
+through ``csv.writer``.  The ``reference_audit_*`` functions still build
+every variant fresh through ``make_estimator`` and replay it from t = 1, so
+they independently check the auditor's walk from copies of one cached
+estimator; they compare its neighbor runs one numpy pair at a time, in
+``reference_diff_report``.  The ``reference_*`` median functions pack, snap
+and count one array at a time in Python loops, as the package did before
+those steps became whole-array numpy operations.
 """
 
 import csv

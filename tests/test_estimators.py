@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -905,6 +906,41 @@ class TestInputValidation:
             est.step(StreamEvent(t=1, user=1, value=value))
         assert est.t == 0 and est.counts == {} and est.records == []
         est.step(StreamEvent(t=1, user=1, value=1.0))  # the boundary is allowed
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_decimal_value_refused_without_a_trace(self, algorithm):
+        # a Decimal compares with floats but does not add to them: unless
+        # step refuses it, multi's ledger raises TypeError on the running
+        # sum at t = 3 after the counts have moved, and the next step KeyError
+        config = any_config(algorithm, n=2, m=8, T=16, eps=1.0, delta=0.1)
+        est, twin = make_estimator(config), make_estimator(config)
+        events = events_of([1, 1, 1], [0.5, 0.25, 0.75])
+        est.run(events[:2])
+        before = estimator_state(est)
+        with pytest.raises(ValueError, match="is not a real number"):
+            est.step(StreamEvent(t=3, user=1, value=Decimal("0.5")))
+        assert estimator_state(est) == before
+        assert est.step(events[2]) == twin.run(events)[2]
+        assert estimator_state(est) == estimator_state(twin)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_float32_values_publish_as_their_floats(self, algorithm):
+        # 10 samples a user, so blocks of 2 and 4 are summed; ``full``
+        # activates levels 2, 3 and 4, so its private medians read the
+        # float32 values too
+        n, m, length = 20, 16, 200
+        config = any_config(algorithm, n=n, m=m, T=length, eps=50.0, delta=0.5, seed=1, keep_trace=True)
+        ordering = OrderingSpec("contiguous" if algorithm == "wishful" else "round_robin")
+        users = [ev.user for ev in generate(0.5, n, m, length, ordering, seed=1)]
+        narrow = [np.float32((i * 0.37) % 1.0) for i in range(length)]
+        est, twin = make_estimator(config), make_estimator(config)
+        est.run(events_of(users, narrow))
+        twin.run(events_of(users, [float(v) for v in narrow]))
+        assert repr(est.records) == repr(twin.records)
+        assert all(type(s) is float for s in est.ledger.pending.values())
+        assert est.ledger.pending == twin.ledger.pending
+        if algorithm == "full":
+            assert est.active_levels() == (0, 1, 2, 3, 4)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("user", [1.5, 1.0, "1", True, None])

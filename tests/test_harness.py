@@ -592,6 +592,33 @@ class TestAuditReplays:
             every_replay += (1 << c[-1]) * len(users)
         assert (steps, every_replay) == (12_548, 22_074)
 
+    def test_one_construction_per_audited_config(self, monkeypatch):
+        # every walk starts from a copy of its config's cached root, which
+        # stays as built: no audit steps it
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import audit_grid
+
+        built = []
+        make = harness.make_estimator
+
+        def counted(config):
+            built.append(config)
+            return make(config)
+
+        monkeypatch.setattr(harness, "make_estimator", counted)
+        harness._audit_root.cache_clear()
+        configs = [audit_grid.config_for(a, 3, 4, 6) for a in audit_grid.ALGORITHMS]
+        for users, changed in audit_grid.grid_orderings(3):
+            for config in configs:
+                audit_value_grid(config, users, changed)
+        assert built == [harness._audit_config(config) for config in configs]
+        for config in built:
+            root, fresh = harness._audit_root(config), make(config)
+            assert (root.t, root.counts, root.ledger.pending) == (0, {}, {})
+            assert [len(mech) for mech in root.mechanisms] == [0] * len(fresh.mechanisms)
+            assert root.budget.entries == fresh.budget.entries
+        assert len(built) == len(configs)
+
 
 class TestCli:
     def test_generate_and_audit_roundtrip(self, tmp_path, capsys):
