@@ -12,7 +12,8 @@ level once enough distinct users have contributed to pay for a
 private-median prior.
 
 On a withheld sample ``step`` makes one Python call, the release law's
-``record``; a release adds the route to the counter (``_release``) and the
+``record``, and publishes the estimate the last release set; a release adds
+the route to the counter (``_release``), which sets the estimate, and the
 counter's ``append``, which returns the new running sum.
 """
 
@@ -271,10 +272,11 @@ class EstimatorConfig:
 class TraceRecord:
     """One published step: estimate, denominator, and status flags.
 
-    ``step`` builds one per event, and a frozen dataclass costs several
-    times as much to build, so this one is not frozen.  The record ``step``
-    returns is the one it keeps in ``records``: treat it as read-only and
-    use ``dataclasses.replace`` for a changed copy.
+    ``step`` makes one per event without calling ``__init__``: it takes
+    ``object.__new__(TraceRecord)`` and stores the seven slots itself, in
+    its own frame, so the class is not frozen.  The record ``step`` returns
+    is the one it keeps in ``records``: treat it as read-only and use
+    ``dataclasses.replace`` for a changed copy.
 
     ``clip`` depends on raw block sums: it is value-dependent and not
     private, so ``flags_str``, hence ``write_trace``, leaves it out.  The
@@ -329,6 +331,16 @@ def write_trace(records, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\r\n")
         fh.writelines(_trace_lines(records))
+
+
+# ``step`` builds a record from a blank one, ``object.__new__(TraceRecord)``
+# (``_new``, one global load), and takes its flags from ``_FLAGS`` by the
+# bits 4 * clip + 2 * oob + div, each tuple in the order clip, oob, div
+_new = object.__new__
+_FLAGS = (
+    (), ("div",), ("oob",), ("oob", "div"),
+    ("clip",), ("clip", "div"), ("clip", "oob"), ("clip", "oob", "div"),
+)
 
 
 @dataclass(frozen=True)
@@ -457,6 +469,12 @@ class _EstimatorBase:
     counts of users with at least k samples plus capped sums, in
     ``supply``; a ``step`` costs O(1) in n.
 
+    The published estimate is state too.  ``_release`` is the one place the
+    noisy total ``_sum`` and the denominator ``total`` change, so it sets
+    ``_estimate`` = ``_sum / total`` and its ``oob`` bit there; until the
+    first release the estimate is the prior as given.  A withheld sample's
+    ``step`` reads both and divides nothing.
+
     An instance owns all of its state and is single-threaded; independent
     instances (e.g. Monte-Carlo trials) never interact and may run on
     separate threads.
@@ -482,6 +500,10 @@ class _EstimatorBase:
             for i, row in enumerate(counters)
         ]
         self._sum = 0.0  # the counters' noisy total, set after every append
+        # the published estimate, and 2 when it lies outside [0, 1] (its
+        # weight in ``_FLAGS``), else 0; ``_release`` sets both
+        self._estimate = config.prior
+        self._oob = 0
         algorithm, m = config.algorithm, config.m
         if algorithm == "naive":
             self.ledger = SampleLedger()
@@ -506,8 +528,9 @@ class _EstimatorBase:
         self._feeds = [0] * levels if len(self.mechanisms) == 1 else list(range(levels))
         # each counter's noisy sum; a lone counter's is ``_sum`` itself
         self._sums = None if len(self.mechanisms) == 1 else [0.0] * len(self.mechanisms)
-        self._intervals: list[TruncationInterval | None] = [None] * levels
-        self._clamps: list[tuple[float, float] | None] = [None] * levels
+        # replaced, never written into, so a ``copy()`` shares them
+        self._intervals: tuple[TruncationInterval | None, ...] = (None,) * levels
+        self._clamps: tuple[tuple[float, float] | None, ...] = (None,) * levels
         if config.prior is not None and not config.clip_disabled:
             prior, n, delta = config.prior, config.n, config.delta
             if one_level:
@@ -535,13 +558,12 @@ class _EstimatorBase:
 
     # -- common loop -------------------------------------------------------
 
-    def _refuse(self, event: StreamEvent) -> float:
-        """Raise the first ``ValueError`` that applies to ``event``, in the
-        order ``step`` checks them; if none does, return the sample value
-        as a Python float, the value ``step`` records."""
+    def _refuse(self, t: int, user: int, value: float) -> float:
+        """Raise the first ``ValueError`` that applies to the event ``(t,
+        user, value)``, in the order ``step`` checks them; if none does,
+        return the sample value as a Python float, the value ``step``
+        records."""
         cfg = self.config
-        user = event.user
-        value = event.value
         # each counter's row assumes at most n users; a fractional id would
         # be one more.  An id equal to an admitted one is that user
         if user not in self.counts:
@@ -555,8 +577,8 @@ class _EstimatorBase:
         # the noise is calibrated to samples in [0, 1]; NaN fails this too
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"sample value {value!r} outside [0, 1]")
-        if event.t <= self._last_t:
-            raise ValueError(f"t={event.t} does not increase past {self._last_t}")
+        if t <= self._last_t:
+            raise ValueError(f"t={t} does not increase past {self._last_t}")
         if self.counts.get(user, 0) >= cfg.m:
             raise ValueError(f"user {user} exceeds the per-user cap m={cfg.m}")
         if self.t >= self._max_t:
@@ -566,9 +588,9 @@ class _EstimatorBase:
         return float(value)
 
     def step(self, event: StreamEvent) -> TraceRecord:
+        # any 3-tuple (t, user, value) will do; it is read once, here
+        t, user, value = event
         cfg = self.config
-        user = event.user
-        value = event.value
         count = self.counts.get(user, 0)
         # every check of ``_refuse`` in one test, so a rejected event
         # changes no state; only a new user's id needs its type checked, and
@@ -578,13 +600,13 @@ class _EstimatorBase:
             and 1 <= user <= cfg.n
             and value.__class__ is float
             and 0.0 <= value <= 1.0
-            and event.t > self._last_t
+            and t > self._last_t
             and count < cfg.m
             and self.t < self._max_t
         ):
-            value = self._refuse(event)
+            value = self._refuse(t, user, value)
         self.t += 1
-        self._last_t = event.t
+        self._last_t = t
 
         # move the user from ``count`` samples to ``count + 1`` in ``supply``
         supply = self.supply
@@ -625,26 +647,26 @@ class _EstimatorBase:
 
         released = self.ledger.record(user, value, count)
         if released is None:
-            flags = ()
+            bits = self._oob
         else:
             # on CPython 3.11 a call with unpacked arguments costs about half
-            # of ``_release(*released)``, which the interpreter cannot specialise
+            # of ``_release(*released)``, which the interpreter cannot
+            # specialise.  ``_release`` runs before ``_oob`` is read: it
+            # moves the estimate
             level, block_sum, block_size = released
-            flags = ("clip",) if self._release(level, block_sum, block_size) else ()
-
-        if self.total:
-            estimate = self._sum / self.total
-            if not 0.0 <= estimate <= 1.0:
-                flags += ("oob",)
-        else:
-            # only wishful gets here: it holds its first user's batch back
-            # until all m samples arrive, while the others release every
-            # user's first sample at once
-            estimate = cfg.prior
+            bits = (4 if self._release(level, block_sum, block_size) else 0) + self._oob
         if half is not None and half >= self._diversity_rhs:
-            flags += ("div",)
+            bits += 1
 
-        record = TraceRecord(self.t, user, estimate, self.total, supply.max_count, self._active, flags)
+        # the generated ``__init__`` would be a Python frame of its own
+        record = _new(TraceRecord)
+        record.t = self.t
+        record.user = user
+        record.estimate = self._estimate
+        record.total = self.total
+        record.max_count = supply.max_count
+        record.active_levels = self._active
+        record.flags = _FLAGS[bits]
         if cfg.keep_trace:
             self.records.append(record)
         return record
@@ -652,7 +674,8 @@ class _EstimatorBase:
     def _release(self, level: int, block_sum: float, block_size: int) -> bool:
         """Route one released block: into its level's buffer while the level
         waits, else clamped to the level's bounds, if any, into the counter
-        the level feeds.  Return whether the block was clipped."""
+        the level feeds, which moves the published estimate.  Return whether
+        the block was clipped."""
         buffers = self.buffers  # empty once no level waits
         if buffers:
             buffer = buffers.get(level)
@@ -674,8 +697,10 @@ class _EstimatorBase:
             self._sum = running
         else:
             sums[i] = running
-            self._sum = math.fsum(sums)
-        self.total += block_size
+            self._sum = running = math.fsum(sums)
+        self.total = total = self.total + block_size
+        self._estimate = estimate = running / total
+        self._oob = 0 if 0.0 <= estimate <= 1.0 else 2
         return sigma != block_sum
 
     def run(self, events) -> list[TraceRecord]:
@@ -685,9 +710,10 @@ class _EstimatorBase:
 
     def _set_interval(self, level: int, interval: TruncationInterval, block_size: int) -> None:
         """Set ``level``'s interval and the clamp bounds ``_release`` applies
-        to its blocks of ``block_size`` samples."""
-        self._intervals[level] = interval
-        self._clamps[level] = clamp_bounds(interval, block_size)
+        to its blocks of ``block_size`` samples, in new tuples."""
+        intervals, clamps = self._intervals, self._clamps
+        self._intervals = intervals[:level] + (interval,) + intervals[level + 1 :]
+        self._clamps = clamps[:level] + (clamp_bounds(interval, block_size),) + clamps[level + 1 :]
 
     @property
     def inactive(self) -> set[int]:
@@ -717,7 +743,7 @@ class _EstimatorBase:
             prior = cfg.prior_override
         else:
             prior = private_median(self._median_request(level), spawn_rng(cfg.seed, 2, level))
-        self.priors[level] = prior
+        self.priors = {**self.priors, level: prior}  # a new dict, which a copy() shares
         size = array_size(level)
         if not cfg.clip_disabled:
             self._set_interval(level, interval_full(prior, level, cfg.n, cfg.m, cfg.eps, cfg.delta), size)
@@ -741,8 +767,10 @@ class _EstimatorBase:
         either one leaves the other as it was, and the twin publishes, stores
         and draws exactly what this estimator would from here on.
 
-        Mutable state is copied and immutable state (config, privacy table,
-        counter routing, trace records) shared.  The twin is built without
+        Mutable state is copied, and state that is never written into is
+        shared: the config, privacy table, counter routing, trace records,
+        and the intervals, clamp bounds and priors, which ``_set_interval``
+        and ``_activate`` replace whole.  The twin is built without
         ``__init__``: it copies the budget ledger's entries, so it charges
         nothing.  It copies the attributes ``__init__`` sets, one by one and
         in the same order, never through ``__dict__``: on CPython 3.11 an
@@ -759,6 +787,8 @@ class _EstimatorBase:
         twin.budget = self.budget.copy()
         twin.mechanisms = [mech.copy() for mech in self.mechanisms]
         twin._sum = self._sum
+        twin._estimate = self._estimate
+        twin._oob = self._oob
         twin.ledger = self.ledger.copy()
         twin.counts = twin.ledger.counts
         twin.supply = self.supply.copy()
@@ -769,10 +799,10 @@ class _EstimatorBase:
         twin._max_t = self._max_t
         twin._feeds = self._feeds
         twin._sums = None if self._sums is None else self._sums[:]
-        twin._intervals = self._intervals[:]
-        twin._clamps = self._clamps[:]
+        twin._intervals = self._intervals
+        twin._clamps = self._clamps
         twin.buffers = {lv: vals[:] for lv, vals in self.buffers.items()}
-        twin.priors = dict(self.priors)
+        twin.priors = self.priors
         twin._history = self._history[:]
         twin._history_cap = self._history_cap
         twin._need = self._need
@@ -790,10 +820,11 @@ class WishfulEstimator(_EstimatorBase):
     def step(self, event: StreamEvent) -> TraceRecord:
         # while a batch is open only its user may arrive; a returning user
         # that already gave all m samples fails the per-user cap first
-        if self.ledger.pending and event.user not in self.counts:
-            self._refuse(event)
+        t, user, value = event
+        if self.ledger.pending and user not in self.counts:
+            self._refuse(t, user, value)
             raise OrderingError(
-                f"user {event.user} at t={self.t + 1} breaks the user-contiguous arrival "
+                f"user {user} at t={self.t + 1} breaks the user-contiguous arrival "
                 "this estimator requires"
             )
         return super().step(event)

@@ -126,24 +126,29 @@ class TestConfigValidation:
         assert make_estimator(EstimatorConfig("multi", **numpy_kw)).run(events) == plain
 
 
-def calls_in_step(est, event) -> list[str]:
-    """The package's functions that ``est.step(event)`` calls, by qualified
-    name in call order, counted with ``sys.setprofile``: Python-level calls
-    only, and not the record's generated ``__init__``, which lives outside
-    the package."""
-    package = os.path.dirname(contmean.__file__)
-    names = []
+def frames_in_step(est, event) -> list[tuple[str, str]]:
+    """Every Python frame ``est.step(event)`` enters, inside the package or
+    outside it, as (file name, qualified name) in call order, counted with
+    ``sys.setprofile``: Python-level calls only."""
+    frames = []
 
     def profile(frame, what, _arg):
-        if what == "call" and frame.f_code.co_filename.startswith(package):
-            names.append(frame.f_code.co_qualname)
+        if what == "call":
+            frames.append((frame.f_code.co_filename, frame.f_code.co_qualname))
 
     sys.setprofile(profile)
     try:
         est.step(event)
     finally:
         sys.setprofile(None)
-    return names[1:]  # the step called here
+    return frames[1:]  # the step called here
+
+
+def calls_in_step(est, event) -> list[str]:
+    """The package's functions that ``est.step(event)`` calls, by qualified
+    name in call order."""
+    package = os.path.dirname(contmean.__file__)
+    return [name for path, name in frames_in_step(est, event) if path.startswith(package)]
 
 
 RELEASE = ["_EstimatorBase._release", "BinaryMechanism.append"]
@@ -184,6 +189,24 @@ class TestCallBudget:
         assert est.buffers and est._history_cap > 2
         assert calls_in_step(est, StreamEvent(t=9, user=2, value=0.5)) == ["UserLedger.record"]
         assert len(est._history) == 9
+
+
+class TestNoRecordInit:
+    """``step`` fills its record's slots itself: no step enters an
+    ``__init__``, such as the dataclass's generated one, which lives outside
+    the package and so escapes ``calls_in_step``."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_no_init_frame_in_any_step(self, algorithm):
+        # user-contiguous, so wishful accepts it; every estimator both
+        # withholds and releases
+        users = [1] * 8 + [2] * 8 + [3] * 8
+        est = make_estimator(any_config(algorithm, n=3, m=8, T=24, eps=1.0, delta=0.1, noise_override=0.0))
+        inits = []
+        for ev in events_of(users, [0.5] * len(users)):
+            inits += [frame for frame in frames_in_step(est, ev) if frame[1].rpartition(".")[2] == "__init__"]
+        assert inits == []
+        assert est.t == len(users)
 
 
 class TestNaive:
@@ -1031,6 +1054,64 @@ class TestRejectedEvents:
         assert est.mechanisms[0].noisy_partial_sums == twin.mechanisms[0].noisy_partial_sums
 
 
+def tuple_case(algorithm):
+    """(config, events) of ``algorithm`` with noise on; ``full`` activates
+    levels 2, 3 and 4, so its private medians read the kept history."""
+    if algorithm == "full":
+        config, events, _ = _full_copy_case("round_robin", 120, 0, noise=True)
+        return config, events
+    n, m, length = 20, 8, 120
+    ordering = OrderingSpec("contiguous" if algorithm == "wishful" else "round_robin")
+    # at this eps every algorithm publishes estimates both inside and
+    # outside [0, 1]
+    config = any_config(algorithm, n=n, m=m, T=length, eps=20.0, delta=0.1, seed=1)
+    return config, generate(0.5, n, m, length, ordering, seed=1)
+
+
+class TestPlainTupleEvents:
+    """``step`` reads its event as ``t, user, value = event``, so any
+    3-tuple is an event, refused or published as the equal ``StreamEvent``."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_plain_tuple_publishes_the_same_record(self, algorithm):
+        config, events = tuple_case(algorithm)
+        est, twin = make_estimator(config), make_estimator(config)
+        plain = [est.step(tuple(ev)) for ev in events]
+        assert repr(plain) == repr(twin.run(events))
+        assert est.priors == twin.priors
+        if algorithm == "full":
+            assert est.active_levels() == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("event, match", [
+        ((2, 2, 1.5), r"outside \[0, 1\]"),
+        ((2, 2, math.nan), r"outside \[0, 1\]"),
+        ((1, 2, 0.5), "does not increase"),
+        ((2, 9, 0.5), r"outside \[1, 4\]"),
+    ])
+    def test_plain_tuple_refused_with_value_error(self, algorithm, event, match):
+        # user 2 arrives while wishful's batch for user 1 is open, so
+        # wishful refuses through its arrival-order check
+        est = make_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
+        est.step((1, 1, 0.5))
+        before = estimator_state(est)
+        with pytest.raises(ValueError, match=match):
+            est.step(event)
+        assert estimator_state(est) == before
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("event", [(2, 1), (2, 1, 0.5, 0.0), (), None, 0.5])
+    def test_not_a_triple_raises_before_any_state_moves(self, algorithm, event):
+        est = make_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
+        est.step((1, 1, 0.5))
+        before = estimator_state(est)
+        with pytest.raises((TypeError, ValueError), match="unpack"):
+            est.step(event)
+        assert estimator_state(est) == before
+        est.step((2, 1, 0.5))
+        assert est.t == 2 and est.counts == {1: 2}
+
+
 class TestOneSamplePerUser:
     """m = 1 withholds nothing, so the diversity condition holds vacuously."""
 
@@ -1237,3 +1318,85 @@ class TestTraceRecord:
         returned = [est.step(ev) for ev in events]
         assert len(est.records) == len(returned)
         assert all(a is b for a, b in zip(returned, est.records))
+
+
+class TestRecordShortcut:
+    """``step`` builds its record with ``object.__new__`` and seven slot
+    stores: the same record the dataclass's ``__init__`` builds."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_record_equals_its_constructed_twin(self, algorithm):
+        config, events = tuple_case(algorithm)
+        est = make_estimator(config)
+        names = [f.name for f in dataclasses.fields(TraceRecord)]
+        for ev in events:
+            rec = est.step(ev)
+            assert type(rec) is TraceRecord
+            assert all(hasattr(rec, name) for name in names)
+            twin = TraceRecord(*(getattr(rec, f.name) for f in dataclasses.fields(TraceRecord)))
+            assert rec == twin and repr(rec) == repr(twin)
+
+
+def published(est, events) -> list[TraceRecord]:
+    """Step ``events`` into ``est``, checking each record's estimate and
+    ``oob`` flag against their definitions, and return the records."""
+    records = []
+    for ev in events:
+        rec = est.step(ev)
+        if est.total:
+            expected = est._sum / est.total
+            assert type(rec.estimate) is float and rec.estimate.hex() == expected.hex()
+        else:
+            prior = est.config.prior
+            assert type(rec.estimate) is type(prior) and rec.estimate == prior
+        assert ("oob" in rec.flags) == (not 0.0 <= rec.estimate <= 1.0)
+        records.append(rec)
+    return records
+
+
+class TestCachedEstimate:
+    """``_release`` sets the published estimate and its ``oob`` bit, and a
+    withheld step publishes them as they are: after every step the estimate
+    is ``_sum / total`` to the last bit, or the prior as given before any
+    release."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_estimate_is_sum_over_total(self, algorithm):
+        config, events = tuple_case(algorithm)
+        records = published(make_estimator(config), events)
+        oob = ["oob" in rec.flags for rec in records]
+        assert any(oob) and not all(oob)
+
+    def test_full_activation_flushes_buffered_blocks(self):
+        # after a single-user prefix, levels 2 to 4 activate with blocks
+        # buffered, and each flush moves the estimate
+        config, events, _ = _full_copy_case("single_user_prefix", 200, 0, noise=True)
+        est = make_estimator(config)
+        flushed = 0
+        for ev in events:
+            buffered, active = est.buffered_sample_count(), est.active_levels()
+            published(est, [ev])
+            if est.active_levels() != active:
+                flushed += buffered > 0
+        assert flushed == 3 and est.active_levels() == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("prior", [0, 1])
+    def test_wishful_int_prior_published_as_given(self, prior):
+        n, m = 3, 4
+        config = any_config("wishful", n=n, m=m, T=n * m, eps=1.0, delta=0.1, seed=2, prior=prior)
+        events = generate(0.5, n, m, n * m, OrderingSpec("contiguous"), seed=1)
+        records = published(make_estimator(config), events)
+        assert [type(rec.estimate) for rec in records] == [int] * (m - 1) + [float] * (n * m - m + 1)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_copy_between_releases(self, algorithm):
+        config, events = tuple_case(algorithm)
+        whole = make_estimator(config).run(events)
+        # the first withheld step after a release; naive withholds nothing
+        cut = next((i for i in range(1, len(events)) if whole[i].total == whole[i - 1].total > 0),
+                   len(events) // 2)
+        est = make_estimator(config)
+        est.run(events[:cut + 1])
+        twin = est.copy()
+        assert repr(published(twin, events[cut + 1:])) == repr(whole[cut + 1:])
+        assert repr(published(est, events[cut + 1:])) == repr(whole[cut + 1:])
