@@ -19,7 +19,6 @@ counter's ``append``, which returns the new running sum.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from contmean.truncate import (
     full_prior_split,
     interval_full,
     interval_single,
+    top_level,
 )
 from contmean.withhold import BatchLedger, SampleLedger, UserLedger
 
@@ -130,7 +130,7 @@ def _single_row(m: int, n: int, eps: float, delta: float) -> PrivacyRow:
 def _multi_row(m: int, n: int, level: int, eps: float, delta: float) -> PrivacyRow:
     size = 2.0 ** (level - 1)
     width = math.sqrt((size / 2.0) * math.log(2.0 * n * math.log2(m) / delta)) + math.sqrt(size)
-    split = math.ceil(math.log2(m)) + 1
+    split = top_level(m) + 1
     return _per_user_row(f"mech[{level}]", f"multi[{level}]", eps, split, 2.0 * width, n)
 
 
@@ -140,7 +140,7 @@ def _full_row(m: int, n: int, level: int, eps: float, delta: float) -> PrivacyRo
         per_entry = float(1 << max(level - 1, 0))
     else:
         per_entry = 2.0 * interval_full(0.0, level, n, m, eps, delta).half_width
-    split = 2 * (math.ceil(math.log2(m)) + 1)
+    split = 2 * (top_level(m) + 1)
     return _per_user_row(f"mech[{level}]", f"full[{level}]", eps, split, per_entry, n)
 
 
@@ -149,9 +149,6 @@ def _full_prior_row(m: int, level: int, eps: float, delta: float) -> PrivacyRow:
     return PrivacyRow(f"prior[{level}]", eps, split, beta=beta)
 
 
-# An audit builds thousands of estimators from one config, so each table is
-# computed once.
-@functools.lru_cache(maxsize=128)
 def privacy_table(config: EstimatorConfig) -> tuple[PrivacyRow, ...]:
     """Every charge of ``config``'s algorithm, in ledger order.
 
@@ -165,7 +162,7 @@ def privacy_table(config: EstimatorConfig) -> tuple[PrivacyRow, ...]:
     algorithm = config.algorithm
     if algorithm == "naive":
         return (_naive_row(m, config.T, eps),)
-    levels = range(math.ceil(math.log2(m)) + 1)
+    levels = range(top_level(m) + 1)
     if algorithm == "full":
         return (
             *(_full_prior_row(m, lv, eps, delta) for lv in levels[1:]),
@@ -451,9 +448,9 @@ class _EstimatorBase:
       (``naive``), a user's m samples as one batch (``wishful``), or dyadic
       blocks (``single``, ``multi``, ``full``).  ``step`` makes one call per
       sample, ``ledger.record``, which returns the released block, if any.
-    - The privacy table, hence the counters and ``_feeds``, the counter each
-      release level feeds: counter 0 when the table has one, else the
-      level's own.
+    - The privacy table, hence the counters: one that every release level
+      feeds (``naive``, ``wishful``, ``single``), or one per level
+      (``multi``, ``full``), whose noisy sums ``_sums`` keeps.
     - Each level's interval, with the clamp bounds ``_release`` applies:
       ``wishful``'s at block size m, and for ``single`` and ``multi``
       intervals centred on the supplied prior at levels 1 and up.
@@ -469,11 +466,11 @@ class _EstimatorBase:
     counts of users with at least k samples plus capped sums, in
     ``supply``; a ``step`` costs O(1) in n.
 
-    The published estimate is state too.  ``_release`` is the one place the
-    noisy total ``_sum`` and the denominator ``total`` change, so it sets
-    ``_estimate`` = ``_sum / total`` and its ``oob`` bit there; until the
-    first release the estimate is the prior as given.  A withheld sample's
-    ``step`` reads both and divides nothing.
+    The published estimate is state too.  ``_release`` is the one place a
+    counter's noisy sum and the denominator ``total`` change, so it sets
+    ``_estimate``, the counters' noisy total over ``total``, and its ``oob``
+    bit there; until the first release the estimate is the prior as given.
+    A withheld sample's ``step`` reads both and divides nothing.
 
     An instance owns all of its state and is single-threaded; independent
     instances (e.g. Monte-Carlo trials) never interact and may run on
@@ -499,7 +496,6 @@ class _EstimatorBase:
             )
             for i, row in enumerate(counters)
         ]
-        self._sum = 0.0  # the counters' noisy total, set after every append
         # the published estimate, and 2 when it lies outside [0, 1] (its
         # weight in ``_FLAGS``), else 0; ``_release`` sets both
         self._estimate = config.prior
@@ -523,10 +519,9 @@ class _EstimatorBase:
         # level is fed per sample or per batch
         one_level = algorithm in ("naive", "wishful")
         self._max_t = config.T if one_level else math.inf
-        levels = 1 if one_level else math.ceil(math.log2(m)) + 1
-        # counter index fed by each release level
-        self._feeds = [0] * levels if len(self.mechanisms) == 1 else list(range(levels))
-        # each counter's noisy sum; a lone counter's is ``_sum`` itself
+        levels = 1 if one_level else top_level(m) + 1
+        # each level's counter's noisy sum, or None when one counter takes
+        # every level
         self._sums = None if len(self.mechanisms) == 1 else [0.0] * len(self.mechanisms)
         # replaced, never written into, so a ``copy()`` shares them
         self._intervals: tuple[TruncationInterval | None, ...] = (None,) * levels
@@ -688,16 +683,14 @@ class _EstimatorBase:
         else:
             lo, hi = bounds
             sigma = min(max(block_sum, lo), hi)
-        i = self._feeds[level]
-        running = self.mechanisms[i].append(sigma)
         sums = self._sums
         if sums is None:
             # ``math.fsum([s])`` is s for every running sum s, which is never
             # -0.0: the stack starts at 0.0, and a + b is -0.0 only if both are
-            self._sum = running
+            running = self.mechanisms[0].append(sigma)
         else:
-            sums[i] = running
-            self._sum = running = math.fsum(sums)
+            sums[level] = self.mechanisms[level].append(sigma)
+            running = math.fsum(sums)
         self.total = total = self.total + block_size
         self._estimate = estimate = running / total
         self._oob = 0 if 0.0 <= estimate <= 1.0 else 2
@@ -735,7 +728,7 @@ class _EstimatorBase:
 
     def _median_request(self, level: int) -> MedianRequest:
         row = self._prior_row(level)
-        return MedianRequest(tuple(self._history), row.share, level, row.beta)
+        return MedianRequest(self._history, row.share, level, row.beta)
 
     def _activate(self, level: int) -> None:
         cfg = self.config
@@ -768,12 +761,12 @@ class _EstimatorBase:
         and draws exactly what this estimator would from here on.
 
         Mutable state is copied, and state that is never written into is
-        shared: the config, privacy table, counter routing, trace records,
-        and the intervals, clamp bounds and priors, which ``_set_interval``
-        and ``_activate`` replace whole.  The twin is built without
-        ``__init__``: it copies the budget ledger's entries, so it charges
-        nothing.  It copies the attributes ``__init__`` sets, one by one and
-        in the same order, never through ``__dict__``: on CPython 3.11 an
+        shared: the config, privacy table, budget ledger (only ``__init__``
+        charges it), trace records, and the intervals, clamp bounds and
+        priors, which ``_set_interval`` and ``_activate`` replace whole.  The
+        twin is built without ``__init__``, so it charges nothing.  It
+        copies the attributes ``__init__`` sets, one by one and in the
+        same order, never through ``__dict__``: on CPython 3.11 an
         instance whose ``__dict__`` has been materialised loses the inline
         attribute layout that ``step``'s specialised attribute loads expect.
         """
@@ -784,9 +777,8 @@ class _EstimatorBase:
         twin.total = self.total
         twin.records = self.records[:]
         twin.table = self.table
-        twin.budget = self.budget.copy()
+        twin.budget = self.budget
         twin.mechanisms = [mech.copy() for mech in self.mechanisms]
-        twin._sum = self._sum
         twin._estimate = self._estimate
         twin._oob = self._oob
         twin.ledger = self.ledger.copy()
@@ -797,7 +789,6 @@ class _EstimatorBase:
         twin._diversity_rhs = self._diversity_rhs
         twin._active = self._active
         twin._max_t = self._max_t
-        twin._feeds = self._feeds
         twin._sums = None if self._sums is None else self._sums[:]
         twin._intervals = self._intervals
         twin._clamps = self._clamps

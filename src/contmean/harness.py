@@ -446,6 +446,14 @@ def _diff_report(
     )
 
 
+def _check_changed_user(config: EstimatorConfig, changed_user: int) -> None:
+    """Refuse a changed user that no stream of ``config`` can hold: an audit
+    of one would compare runs that never differ and pass."""
+    _require_int("changed_user", changed_user)
+    if not 1 <= changed_user <= config.n:
+        raise ValueError(f"changed_user {changed_user} outside [1, {config.n}]")
+
+
 def audit_sensitivity(
     config: EstimatorConfig, base_stream: Sequence[StreamEvent], changed_user: int
 ) -> AuditReport:
@@ -456,8 +464,7 @@ def audit_sensitivity(
     difference.
     """
     config = _audit_config(config)
-    if not 1 <= changed_user <= config.n:
-        raise ValueError(f"changed_user {changed_user} outside [1, {config.n}]")
+    _check_changed_user(config, changed_user)
     events = list(base_stream)
     positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
     # the grid runs first: it refuses an oversized grid before any replay
@@ -476,6 +483,7 @@ def audit_value_grid(
     difference (they cancel), so they are fixed at zero.
     """
     config = _audit_config(config)
+    _check_changed_user(config, changed_user)
     events = [StreamEvent(t, u, 0.0) for t, u in enumerate(users, start=1)]
     positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
     variants = _value_grid_runs(config, events, positions)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,9 +76,10 @@ def utility_radius(arrays: int, level: int, delta: float) -> float:
 
 @dataclass(frozen=True)
 class MedianRequest:
-    """Inputs for one private-median call on the stream history up to now."""
+    """Inputs for one private-median call on the stream history up to now,
+    which is read where it lies, not copied."""
 
-    history: tuple[StreamEvent, ...]
+    history: Sequence[StreamEvent]
     eps: float
     level: int
     beta: float

@@ -125,12 +125,3 @@ class BudgetLedger:
         self.entries.append((label, eps))
         self._running = new_total
         return self
-
-    def copy(self) -> "BudgetLedger":
-        """An independent ledger with the same entries; charges nothing."""
-        cls = type(self)
-        twin = cls.__new__(cls)
-        twin.total_eps = self.total_eps
-        twin.entries = self.entries[:]
-        twin._running = self._running
-        return twin

@@ -21,6 +21,7 @@ __all__ = [
     "interval_full",
     "interval_single",
     "project",
+    "top_level",
 ]
 
 
@@ -69,11 +70,17 @@ def interval_single(prior: float, level: int, m: int, n: int, delta: float) -> T
     return TruncationInterval(center=size * prior, half_width=width, level=level)
 
 
+def top_level(m: int) -> int:
+    """L = ceil(log2 m): the estimators book release levels 0..L for users
+    of at most m samples, level L's blocks holding 2^(L-1) of them."""
+    return math.ceil(math.log2(m))
+
+
 def full_prior_split(m: int, delta: float) -> tuple[int, float]:
     """(split, beta) of ``full``'s median prior at each level: it spends
-    eps / split with split = 2L, L = ceil(log2 m), and fails with
+    eps / split with split = 2L, L = ``top_level(m)``, and fails with
     probability at most beta = delta / (3L)."""
-    big_l = math.ceil(math.log2(m))
+    big_l = top_level(m)
     return 2 * big_l, delta / (3 * big_l)
 
 

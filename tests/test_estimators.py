@@ -28,6 +28,7 @@ from contmean.estimators import (
     make_estimator,
     multi_noise_scale,
     naive_noise_scale,
+    privacy_table,
     single_noise_scale,
     write_trace,
 )
@@ -1344,7 +1345,8 @@ def published(est, events) -> list[TraceRecord]:
     for ev in events:
         rec = est.step(ev)
         if est.total:
-            expected = est._sum / est.total
+            # correctly rounded, so the counters' total to the last bit
+            expected = math.fsum(mech.sum() for mech in est.mechanisms) / est.total
             assert type(rec.estimate) is float and rec.estimate.hex() == expected.hex()
         else:
             prior = est.config.prior
@@ -1357,8 +1359,8 @@ def published(est, events) -> list[TraceRecord]:
 class TestCachedEstimate:
     """``_release`` sets the published estimate and its ``oob`` bit, and a
     withheld step publishes them as they are: after every step the estimate
-    is ``_sum / total`` to the last bit, or the prior as given before any
-    release."""
+    is the counters' noisy total over ``total`` to the last bit, or the
+    prior as given before any release."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_estimate_is_sum_over_total(self, algorithm):
@@ -1400,3 +1402,24 @@ class TestCachedEstimate:
         twin = est.copy()
         assert repr(published(twin, events[cut + 1:])) == repr(whole[cut + 1:])
         assert repr(published(est, events[cut + 1:])) == repr(whole[cut + 1:])
+
+
+class TestSharedBudget:
+    """Only ``__init__`` charges the budget ledger, so a ``copy()`` twin
+    shares it, as it shares the privacy table, and no step books a charge."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_twin_shares_table_and_budget_and_steps_charge_nothing(self, algorithm):
+        config, events = tuple_case(algorithm)
+        booked = [(row.label, row.share) for row in privacy_table(config)]
+        est = make_estimator(config)
+        assert est.budget.entries == booked
+        cut = len(events) // 2
+        est.run(events[:cut])
+        twin = est.copy()
+        assert twin.table is est.table and twin.budget is est.budget
+        twin.run(events[cut:])
+        est.run(events[cut:])
+        if algorithm == "full":
+            assert est.active_levels() == twin.active_levels() == (0, 1, 2, 3, 4)
+        assert est.budget.entries == booked

@@ -328,6 +328,22 @@ class TestAudit:
         with pytest.raises(ValueError):
             audit_sensitivity(config, flip_stream([1, 1, 2, 2], [0.0] * 4), 1)
 
+    @pytest.mark.parametrize("changed_user", [7, 0, 1.5, True])
+    def test_changed_user_outside_the_stream_refused(self, changed_user, monkeypatch):
+        # unchecked, users 7, 0 and 1.5 would audit nothing and pass, and
+        # True would audit user 1
+        config = EstimatorConfig(algorithm="multi", n=3, m=4, eps=1.0, delta=0.1, prior=0.5)
+        users = [1, 2, 1, 3, 2, 1]
+
+        def replay(*args):
+            raise AssertionError("replayed before the changed user was checked")
+
+        monkeypatch.setattr(harness, "_value_grid_runs", replay)
+        with pytest.raises(ValueError, match="changed_user"):
+            audit_value_grid(config, users, changed_user)
+        with pytest.raises(ValueError, match="changed_user"):
+            audit_sensitivity(config, flip_stream(users, [0.0] * len(users)), changed_user)
+
     def test_unknown_user_rejected(self):
         config = EstimatorConfig(algorithm="naive", n=2, m=2, eps=1, delta=0.1, T=2)
         with pytest.raises(ValueError):
@@ -731,6 +747,18 @@ class TestCli:
         spec_path.write_text(json.dumps(audit_spec))
         assert main(["audit", "--spec", str(spec_path)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_fractional_changed_user_exit_code_two(self, tmp_path, capsys):
+        stream_path = tmp_path / "s.csv"
+        write_stream(generate(0.5, 3, 4, 6, OrderingSpec("round_robin"), seed=1), stream_path)
+        audit_spec = {
+            "algorithm": "multi", "n": 3, "m": 4, "eps": 1.0, "delta": 0.1,
+            "prior": 0.5, "stream": str(stream_path), "changed_user": 1.5,
+        }
+        spec_path = tmp_path / "audit.json"
+        spec_path.write_text(json.dumps(audit_spec))
+        assert main(["audit", "--spec", str(spec_path)]) == 2
+        assert "changed_user: 1.5 is not an integer" in capsys.readouterr().err
 
     def test_ordering_violation_exit_code_two(self, tmp_path, capsys):
         run_spec = {
