@@ -11,10 +11,13 @@ levels whose truncation interval cannot be centered yet, and activates a
 level once enough distinct users have contributed to pay for a
 private-median prior.
 
-On a withheld sample ``step`` makes one Python call, the release law's
-``record``, and publishes the estimate the last release set; a release adds
-the route to the counter (``_release``), which sets the estimate, and the
-counter's ``append``, which returns the new running sum.
+A release law is a per-count table, built once per (law, m) from the
+ledger's ``releases`` by ``_release_table``, and ``step`` applies it
+inline.  So a withheld sample makes no Python call: it adds the value to
+its user's running sum in ``pending`` and publishes the estimate the last
+release set.  A release calls the route to the counter (``_release``),
+which sets the estimate, and the counter's ``append``, which returns the
+new running sum.
 """
 
 from __future__ import annotations
@@ -436,6 +439,20 @@ class CappedSupply:
 
 # --------------------------------------------------------------------------
 
+# the release tables ``_release_table`` has built, one per (law, m)
+_TABLES: dict[tuple[type[UserLedger], int], tuple[tuple[int, int] | None, ...]] = {}
+
+
+def _release_table(ledger: UserLedger, m: int) -> tuple[tuple[int, int] | None, ...]:
+    """``ledger``'s release law for counts up to m, as a table shared by
+    every estimator with the same law and m: entry c is
+    ``ledger.releases(c)``, and entry 0, which no count reaches, is None."""
+    key = type(ledger), m
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = (None, *map(ledger.releases, range(1, m + 1)))
+    return table
+
 
 class _EstimatorBase:
     """The one event loop of all five estimators: input checks, count
@@ -446,8 +463,10 @@ class _EstimatorBase:
 
     - ``ledger``'s release law (``withhold``): every sample at once
       (``naive``), a user's m samples as one batch (``wishful``), or dyadic
-      blocks (``single``, ``multi``, ``full``).  ``step`` makes one call per
-      sample, ``ledger.record``, which returns the released block, if any.
+      blocks (``single``, ``multi``, ``full``).  ``_law`` tabulates it per
+      count, and ``step`` applies the table itself, as ``ledger.record``
+      would: a withheld sample joins its user's sum in ``pending``, and a
+      release pops that sum into ``_release``.
     - The privacy table, hence the counters: one that every release level
       feeds (``naive``, ``wishful``, ``single``), or one per level
       (``multi``, ``full``), whose noisy sums ``_sums`` keeps.
@@ -507,7 +526,11 @@ class _EstimatorBase:
             self.ledger = BatchLedger(m)
         else:
             self.ledger = UserLedger()
-        self.counts = self.ledger.counts  # the ledger counts each sample
+        # the ledger counts each sample and holds the withheld sums, which
+        # ``step`` moves itself by the ledger's law
+        self.counts = self.ledger.counts
+        self.pending = self.ledger.pending
+        self._law = _release_table(self.ledger, m)
         tracking = config.track_diversity
         self.supply = CappedSupply(m, tracking)
         self._last_t = 0
@@ -572,7 +595,8 @@ class _EstimatorBase:
         # the noise is calibrated to samples in [0, 1]; NaN fails this too
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"sample value {value!r} outside [0, 1]")
-        if t <= self._last_t:
+        # the exact negation of ``step``'s test, so a NaN time fails too
+        if not t > self._last_t:
             raise ValueError(f"t={t} does not increase past {self._last_t}")
         if self.counts.get(user, 0) >= cfg.m:
             raise ValueError(f"user {user} exceeds the per-user cap m={cfg.m}")
@@ -640,15 +664,17 @@ class _EstimatorBase:
                 while supply.gate >= self._need:
                     self._activate(next(iter(self.buffers)))
 
-        released = self.ledger.record(user, value, count)
+        # the ledger's law, as ``ledger.record`` applies it
+        self.counts[user] = count + 1
+        released = self._law[count + 1]
         if released is None:
+            pending = self.pending
+            pending[user] = pending.get(user, 0.0) + value
             bits = self._oob
         else:
-            # on CPython 3.11 a call with unpacked arguments costs about half
-            # of ``_release(*released)``, which the interpreter cannot
-            # specialise.  ``_release`` runs before ``_oob`` is read: it
-            # moves the estimate
-            level, block_sum, block_size = released
+            # ``_release`` runs before ``_oob`` is read: it moves the estimate
+            level, block_size = released
+            block_sum = self.pending.pop(user, 0.0) + value
             bits = (4 if self._release(level, block_sum, block_size) else 0) + self._oob
         if half is not None and half >= self._diversity_rhs:
             bits += 1
@@ -761,9 +787,10 @@ class _EstimatorBase:
         and draws exactly what this estimator would from here on.
 
         Mutable state is copied, and state that is never written into is
-        shared: the config, privacy table, budget ledger (only ``__init__``
-        charges it), trace records, and the intervals, clamp bounds and
-        priors, which ``_set_interval`` and ``_activate`` replace whole.  The
+        shared: the config, privacy table, release table, budget ledger
+        (only ``__init__`` charges it), trace records, and the intervals,
+        clamp bounds and priors, which ``_set_interval`` and ``_activate``
+        replace whole.  ``counts`` and ``pending`` alias the twin's ledger.  The
         twin is built without ``__init__``, so it charges nothing.  It
         copies the attributes ``__init__`` sets, one by one and in the
         same order, never through ``__dict__``: on CPython 3.11 an
@@ -783,6 +810,8 @@ class _EstimatorBase:
         twin._oob = self._oob
         twin.ledger = self.ledger.copy()
         twin.counts = twin.ledger.counts
+        twin.pending = twin.ledger.pending
+        twin._law = self._law
         twin.supply = self.supply.copy()
         twin._last_t = self._last_t
         twin._diversity_prior = self._diversity_prior
@@ -812,7 +841,7 @@ class WishfulEstimator(_EstimatorBase):
         # while a batch is open only its user may arrive; a returning user
         # that already gave all m samples fails the per-user cap first
         t, user, value = event
-        if self.ledger.pending and user not in self.counts:
+        if self.pending and user not in self.counts:
             self._refuse(t, user, value)
             raise OrderingError(
                 f"user {user} at t={self.t + 1} breaks the user-contiguous arrival "

@@ -11,8 +11,13 @@ samples seen have been released, whatever the user ordering.
 
 ``SampleLedger`` (``naive``) releases every sample on arrival, and
 ``BatchLedger`` (``wishful``) withholds each user's samples until all m have
-arrived and releases them as one block.  The three differ only in
-``record``, which an estimator's ``step`` calls once per sample.
+arrived and releases them as one block.  Each law is stated once, as
+``releases(count)``: what a user's new count releases, ``(level,
+block_size)``, or None.  One ``record`` applies the law for all three,
+and an estimator's ``step`` applies the same law from a table of
+``releases`` (``estimators._release_table``).  Beyond ``releases``, the
+three differ only in ``pending_count``, which counts what each law
+withholds.
 
 Each keeps two numbers per user: a count, and, while the user has samples
 withheld, their running sum in ``pending``; how many are withheld follows
@@ -53,34 +58,43 @@ class UserLedger:
         self.counts: dict[int, int] = {}
         self.pending: dict[int, float] = {}
 
+    @staticmethod
+    def releases(count: int) -> tuple[int, int] | None:
+        """The dyadic law: a user's count 2^level releases the block
+        (2^(level-1), 2^level], of max(2^(level-1), 1) samples."""
+        if count & (count - 1):
+            return None
+        return count.bit_length() - 1, max(count >> 1, 1)
+
     def on_sample(self, user_id: int, value: float) -> ReleaseDecision:
         """Record one sample under this ledger's law (``record``)."""
         if not math.isfinite(value):
             raise ValueError(f"sample value must be finite, got {value}")
-        released = self.record(user_id, value, self.counts.get(user_id, 0))
+        # running sums stay Python floats: a float32 sample would make its
+        # user's a float32
+        released = self.record(user_id, float(value), self.counts.get(user_id, 0))
         return _WITHHOLD if released is None else ReleaseDecision(True, *released)
 
     def record(self, user_id: int, value: float, count: int) -> tuple[int, float, int] | None:
         """Record a finite sample of a user that held ``count`` samples
         before it; return ``(level, block_sum, block_size)`` when the new
-        count is 2^level, else None.
+        count releases under ``releases``, else None.
 
         A block sums its samples in arrival order, ((0.0 + v1) + v2) + ...,
         one running sum per user; values on a dyadic grid sum exactly.
         ``count`` must equal ``counts.get(user_id, 0)``: the caller has read
-        it, so this reads no count and checks no value.
+        it, so this reads no count and checks no value.  ``step`` applies
+        the same law inline.
         """
         count += 1
         self.counts[user_id] = count
-        if count & (count - 1):  # not a power of two: withhold
-            pending = self.pending
+        released = self.releases(count)
+        pending = self.pending
+        if released is None:
             pending[user_id] = pending.get(user_id, 0.0) + value
             return None
-        if count < 4:
-            # levels 0 and 1 find nothing withheld: the block is this
-            # sample, 0.0 + value (a float, zero unsigned)
-            return count - 1, float(value) + 0.0, 1
-        return count.bit_length() - 1, self.pending.pop(user_id) + value, count >> 1
+        level, block_size = released
+        return level, pending.pop(user_id, 0.0) + value, block_size
 
     def copy(self) -> UserLedger:
         """An independent ledger with the same counts and withheld sums."""
@@ -107,9 +121,9 @@ class SampleLedger(UserLedger):
     """The per-sample law: every sample is released on arrival, as a block
     of one at level 0, and nothing is withheld."""
 
-    def record(self, user_id: int, value: float, count: int) -> tuple[int, float, int]:
-        self.counts[user_id] = count + 1
-        return 0, value, 1
+    @staticmethod
+    def releases(count: int) -> tuple[int, int]:
+        return 0, 1
 
     def pending_count(self) -> int:
         return 0
@@ -117,20 +131,15 @@ class SampleLedger(UserLedger):
 
 class BatchLedger(UserLedger):
     """The batch law: a user's samples are withheld until the m-th arrives,
-    then released together as one block of m at level 0."""
+    then released together as one block of m at level 0.  A user gives at
+    most m samples."""
 
     def __init__(self, m: int) -> None:
         super().__init__()
         self.m = m
 
-    def record(self, user_id: int, value: float, count: int) -> tuple[int, float, int] | None:
-        self.counts[user_id] = count + 1
-        if count + 1 < self.m:
-            pending = self.pending
-            pending[user_id] = pending.get(user_id, 0.0) + value
-            return None
-        # at m = 1 nothing is pending
-        return 0, self.pending.pop(user_id, 0.0) + value, self.m
+    def releases(self, count: int) -> tuple[int, int] | None:
+        return (0, self.m) if count == self.m else None
 
     def pending_count(self) -> int:
         return sum(c for c in self.counts.values() if c < self.m)

@@ -156,22 +156,22 @@ RELEASE = ["_EstimatorBase._release", "BinaryMechanism.append"]
 
 
 class TestCallBudget:
-    """The Python calls one ``step`` makes: the release law's ``record`` on
-    a withheld sample, and the route to the counter on a release.  Runs are
-    noiseless, so no noise block is drawn, and M_t stays put, so the ``div``
-    threshold is not recomputed."""
+    """The Python calls one ``step`` makes: none on a withheld sample, since
+    ``step`` applies the release law from its table, and the route to the
+    counter on a release.  Runs are noiseless, so no noise block is drawn,
+    and M_t stays put, so the ``div`` threshold is not recomputed."""
 
     # (algorithm, users stepped first, the user whose sample is counted, calls)
     CASES = [
         # user 2's 3rd sample: withheld, and user 1 already holds 5
-        *[(alg, [1] * 5 + [2, 2], 2, ["UserLedger.record"]) for alg in ("single", "multi", "full")],
+        *[(alg, [1] * 5 + [2, 2], 2, []) for alg in ("single", "multi", "full")],
         # user 2's 4th sample releases level 2; ``full``'s level 2 waits
-        ("single", [1] * 5 + [2] * 3, 2, ["UserLedger.record", *RELEASE]),
-        ("multi", [1] * 5 + [2] * 3, 2, ["UserLedger.record", *RELEASE]),
-        ("full", [1] * 5 + [2] * 3, 2, ["UserLedger.record", "_EstimatorBase._release"]),
-        ("naive", [1] * 5 + [2] * 3, 2, ["SampleLedger.record", *RELEASE]),
-        ("wishful", [1] * 8 + [2] * 2, 2, ["_EstimatorBase.step", "BatchLedger.record"]),
-        ("wishful", [1] * 8 + [2] * 7, 2, ["_EstimatorBase.step", "BatchLedger.record", *RELEASE]),
+        ("single", [1] * 5 + [2] * 3, 2, RELEASE),
+        ("multi", [1] * 5 + [2] * 3, 2, RELEASE),
+        ("full", [1] * 5 + [2] * 3, 2, ["_EstimatorBase._release"]),
+        ("naive", [1] * 5 + [2] * 3, 2, RELEASE),
+        ("wishful", [1] * 8 + [2] * 2, 2, ["_EstimatorBase.step"]),
+        ("wishful", [1] * 8 + [2] * 7, 2, ["_EstimatorBase.step", *RELEASE]),
     ]
 
     @pytest.mark.parametrize("algorithm, users, user, expected", CASES)
@@ -188,8 +188,104 @@ class TestCallBudget:
         users = [1] * 6 + [2] * 2
         est.run(events_of(users, [0.5] * len(users)))
         assert est.buffers and est._history_cap > 2
-        assert calls_in_step(est, StreamEvent(t=9, user=2, value=0.5)) == ["UserLedger.record"]
+        assert calls_in_step(est, StreamEvent(t=9, user=2, value=0.5)) == []
         assert len(est._history) == 9
+
+
+def law_replay(config, events):
+    """Replay ``events`` through ``record`` on a fresh ledger of
+    ``config``'s law: the ledger, and each event's release, with its block
+    sum as hex, or None."""
+    ledger = make_estimator(config).ledger
+    released = []
+    for _, user, value in events:
+        block = ledger.record(user, value, ledger.counts.get(user, 0))
+        released.append(block and (block[0], block[1].hex(), block[2]))
+    return ledger, released
+
+
+def routed_blocks(est) -> list:
+    """Spy on the blocks ``est``'s steps hand to ``_release``, as (level,
+    block sum as hex, block size); an activation's buffered blocks are
+    left out."""
+    blocks, activating = [], []
+    release, activate = est._release, est._activate
+
+    def spy_release(level, block_sum, block_size):
+        if not activating:
+            assert type(block_sum) is float
+            blocks.append((level, block_sum.hex(), block_size))
+        return release(level, block_sum, block_size)
+
+    def spy_activate(level):
+        activating.append(level)
+        try:
+            activate(level)
+        finally:
+            activating.pop()
+
+    est._release, est._activate = spy_release, spy_activate
+    return blocks
+
+
+@st.composite
+def law_cases(draw):
+    """(algorithm, n, m, users, values, cut): a capped stream at a cap m
+    that is a power of two or not (or 1, which naive and wishful allow),
+    with values off the dyadic grid, and a point to copy at."""
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    one_level = algorithm in ("naive", "wishful")
+    m = draw(st.sampled_from([1, 3, 4, 6, 8] if one_level else [3, 4, 6, 8]))
+    n = draw(st.integers(1, 5))
+    if algorithm == "wishful":
+        users = [u for u in draw(st.permutations(range(1, n + 1))) for _ in range(m)]
+    else:
+        users = draw(st.permutations([u for u in range(1, n + 1) for _ in range(m)]))
+    users = users[: draw(st.integers(1, len(users)))]
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=len(users), max_size=len(users)))
+    return algorithm, n, m, users, values, draw(st.integers(0, len(users)))
+
+
+class TestStepAppliesLedgerLaw:
+    """``step`` applies its ledger's release law from a table, not through
+    ``record``; both must give the same counts, the same withheld sums and
+    the same released blocks, bit for bit."""
+
+    @given(law_cases())
+    @example(("multi", 2, 8, [1, 1, 2, 1, 1, 2, 2, 1, 1, 2], [-0.0] * 10, 4))
+    @example(("naive", 2, 3, [1, 2, 1, 2], [-0.0, 0.1, -0.0, 0.3], 2))
+    @example(("wishful", 3, 1, [2, 1, 3], [-0.0, 0.7, -0.0], 1))
+    @settings(max_examples=300, deadline=None)
+    def test_step_matches_a_record_replay(self, case):
+        algorithm, n, m, users, values, cut = case
+        events = events_of(users, values)
+        config = any_config(
+            algorithm, n=n, m=m, T=len(events), eps=3000.0, delta=0.5, noise_override=0.0, keep_trace=False
+        )
+        ledger, released = law_replay(config, events)
+        pending = {u: s.hex() for u, s in ledger.pending.items()}
+        est = make_estimator(config)
+        blocks = routed_blocks(est)
+        est.run(events[:cut])
+        # a twin taken mid-stream goes on by the same law, apart from ``est``
+        twin = est.copy()
+        twin_blocks = routed_blocks(twin)
+        twin.run(events[cut:])
+        est.run(events[cut:])
+        assert blocks == [b for b in released if b]
+        assert twin_blocks == [b for b in released[cut:] if b]
+        for each in (est, twin):
+            assert each.counts == ledger.counts
+            assert {u: s.hex() for u, s in each.pending.items()} == pending
+            assert each.counts is each.ledger.counts and each.pending is each.ledger.pending
+        assert twin.pending is not est.pending
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_one_table_per_law_and_cap(self, algorithm):
+        config = any_config(algorithm, n=3, m=6, T=18, eps=1.0, delta=0.1)
+        est = make_estimator(config)
+        assert est._law == (None, *map(est.ledger.releases, range(1, 7)))
+        assert make_estimator(config)._law is est._law and est.copy()._law is est._law
 
 
 class TestNoRecordInit:
@@ -1014,6 +1110,23 @@ class TestInputValidation:
         # NaN prior centre leaves block sums unclamped
         with pytest.raises(ValueError, match=f"{field} must be"):
             any_config("full", n=4, m=4, T=16, delta=0.1, **{"eps": 1.0, field: value})
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_nan_time_refused(self, algorithm):
+        # NaN fails ``t > last`` and ``t <= last`` alike: refused only on
+        # the second, NaN times were accepted, and after one any time was
+        config = any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1, seed=2)
+        est, twin = make_estimator(config), make_estimator(config)
+        events = events_of([1, 1, 1], [0.5, 0.25, 0.75])
+        est.run(events[:2])
+        twin.run(events[:2])
+        before = estimator_state(est)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="does not increase"):
+                est.step(StreamEvent(t=math.nan, user=1, value=0.5))
+            assert estimator_state(est) == before
+        assert est.step(events[2]) == twin.step(events[2])
+        assert estimator_state(est) == estimator_state(twin)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_time_must_increase(self, algorithm):

@@ -4,11 +4,12 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contmean.withhold import _WITHHOLD, BatchLedger, ReleaseDecision, UserLedger
+from contmean.withhold import _WITHHOLD, BatchLedger, ReleaseDecision, SampleLedger, UserLedger
 
 
 def drive(users, values=None):
@@ -239,3 +240,39 @@ class TestPendingCount:
                 if ledger.counts.get(u, 0) < m:
                     ledger.on_sample(u, 1.0)
                     assert ledger.pending_count() == sum(ledger.pending.values())
+
+
+LAWS = {"dyadic": UserLedger, "per-sample": SampleLedger, "batch": lambda: BatchLedger(4)}
+
+
+class TestReleases:
+    """Each law is stated once, as ``releases(count)``."""
+
+    def test_each_law(self):
+        dyadic = {1: (0, 1), 2: (1, 1), 4: (2, 2), 8: (3, 4), 16: (4, 8)}
+        assert [UserLedger.releases(c) for c in range(1, 17)] == [dyadic.get(c) for c in range(1, 17)]
+        assert [SampleLedger.releases(c) for c in range(1, 17)] == [(0, 1)] * 16
+        assert [BatchLedger(5).releases(c) for c in range(1, 6)] == [None] * 4 + [(0, 5)]
+        assert BatchLedger(1).releases(1) == (0, 1)
+
+
+class TestOnSampleTypes:
+    """``on_sample`` records a sample as a Python float, so released block
+    sums and withheld sums are Python floats whatever real scalar arrives."""
+
+    @pytest.mark.parametrize("law", list(LAWS))
+    @pytest.mark.parametrize(
+        "samples",
+        [[np.float32(v) for v in (0.1, 0.7, 0.2, 0.9)], [np.float64(v) for v in (0.1, 0.7, 0.2, 0.9)], [1, 0, 1, 1]],
+        ids=["float32", "float64", "int"],
+    )
+    def test_sums_are_the_floats_of_the_samples(self, law, samples):
+        ledger, twin = LAWS[law](), LAWS[law]()
+        for v in samples:
+            got, want = ledger.on_sample(1, v), twin.on_sample(1, float(v))
+            assert got.released == want.released
+            if got.released:
+                assert type(got.block_sum) is float and got.block_sum.hex() == want.block_sum.hex()
+                assert (got.level, got.block_size) == (want.level, want.block_size)
+            assert all(type(s) is float for s in ledger.pending.values())
+            assert ledger.pending == twin.pending
