@@ -1,11 +1,12 @@
 """Tree-aggregation counter over dyadic blocks.
 
-The counter ingests a stream of real elements and maintains one noisy
-partial sum per element: when the k-th element arrives, the sum of the most
-recent ``lowbit(k)`` elements plus fresh Laplace noise is recorded.  A
-running-sum query combines the partial sums of the dyadic decomposition of
-k, so each element influences O(log k) stored values; a stack of running
-sums over that decomposition makes an append O(1) amortized and a query O(1).
+The k-th element releases one noisy partial sum, the sum of the most
+recent ``lowbit(k)`` elements plus fresh Laplace noise, and a running-sum
+query combines those of the dyadic decomposition of k, so each element
+influences O(log k) of them.  A stack of running sums over that
+decomposition, O(log k) state, makes an append O(1) amortized and a query
+O(1); the partial sums themselves, which a sensitivity audit compares, are
+stored only after ``store_nodes``.
 """
 
 from __future__ import annotations
@@ -13,44 +14,15 @@ from __future__ import annotations
 import math
 from array import array
 from copy import deepcopy
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from contmean.noise import laplace
 
-__all__ = ["BinaryMechanism", "DyadicDecomposition", "audit_influence", "decompose"]
+__all__ = ["BinaryMechanism", "audit_influence"]
 
 _FIRST_BLOCK, _MAX_BLOCK = 8, 1024  # noise blocks of 8, 16, 32, ... draws, capped
-
-
-@dataclass(frozen=True)
-class DyadicDecomposition:
-    """Disjoint dyadic blocks (1-based, inclusive) covering [1, k]."""
-
-    blocks: tuple[tuple[int, int], ...]
-
-    def ends(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.blocks)
-
-
-def decompose(k: int) -> DyadicDecomposition:
-    """Split [1, k] into the dyadic blocks given by the set bits of k.
-
-    Blocks come most significant first, so sizes strictly decrease, e.g.
-    decompose(6) -> (1,4),(5,6).
-    """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    blocks = []
-    index = 0
-    for j in range(k.bit_length() - 1, -1, -1):
-        bit = 1 << j
-        if k & bit:
-            blocks.append((index + 1, index + bit))
-            index += bit
-    return DyadicDecomposition(tuple(blocks))
 
 
 def audit_influence(mech_len: int, element_index: int) -> int:
@@ -74,14 +46,14 @@ def audit_influence(mech_len: int, element_index: int) -> int:
 
 
 class BinaryMechanism:
-    """One tree-aggregation counter: one noisy partial sum per element, plus
-    a stack of at most ``bit_length(k) + 1`` prefix and noisy running sums.
+    """One tree-aggregation counter: after k elements, a stack of at most
+    ``bit_length(k) + 1`` prefix and noisy running sums (and k partial sums
+    after ``store_nodes``).
 
-    ``eta`` is the Laplace scale added to every stored partial sum; the
-    caller chooses it from its own bound on how many elements a user can
-    contribute.  Entries of the partial-sum array are written once and never
-    mutated, so replaying the same appends with the same generator state
-    reproduces the array bit for bit.
+    ``eta`` is the Laplace scale added to every partial sum; the caller
+    chooses it from its own bound on how many elements a user can
+    contribute.  Replaying the same appends with the same generator state
+    reproduces every partial sum bit for bit.
 
     ``rng`` is a generator, or a function that returns one and runs at the
     first Laplace draw.  Noise is drawn from it in blocks ahead of use, so
@@ -102,12 +74,19 @@ class BinaryMechanism:
         self.eta = float(eta)
         self.label = label
         self._rng = rng
-        self._nps = array("d")
-        self._stack = [(0, 0.0, 0.0)]  # (end, prefix, noisy sum) at 0 and each end of decompose(k)
+        self._nodes: array | None = None  # every partial sum, once ``store_nodes`` is called
+        self._stack = [(0, 0.0, 0.0)]  # (end, prefix, noisy sum) at 0 and each dyadic block end of k
         self._draws: list[float] = []  # buffered noise, next draw last; empty at zero scale
 
     def __len__(self) -> int:
-        return len(self._nps)
+        return self._stack[-1][0]
+
+    def store_nodes(self) -> None:
+        """Store every partial sum, for a sensitivity audit to read; the
+        running sums need only the stack.  Call it before the first append."""
+        if len(self):
+            raise ValueError(f"counter {self.label!r} already holds {len(self)} elements")
+        self._nodes = array("d")
 
     def copy(self) -> BinaryMechanism:
         """An independent twin that appends, sums and draws exactly as this
@@ -121,41 +100,44 @@ class BinaryMechanism:
         # factory test comes first: naming ``np.random`` imports it
         rng = self._rng
         twin._rng = rng if callable(rng) else deepcopy(rng)
-        twin._nps = self._nps[:]
+        twin._nodes = None if self._nodes is None else self._nodes[:]
         twin._stack = self._stack[:]
         twin._draws = self._draws[:]
         return twin
 
-    @property
-    def noisy_partial_sums(self) -> tuple[float, ...]:
-        return tuple(self._nps)
-
     def write_partial_sums(self, out: array) -> None:
-        """Append the noisy partial sums, in index order, to ``out``, an
-        ``array('d')``: one buffer copy, no float per entry."""
-        out.extend(self._nps)
+        """Append the stored noisy partial sums, in index order, to ``out``,
+        an ``array('d')``: one buffer copy, no float per entry."""
+        if self._nodes is None:
+            raise ValueError(f"counter {self.label!r} stores no partial sums: call store_nodes() first")
+        out.extend(self._nodes)
 
     def _refill(self) -> float:
         if not isinstance(self._rng, np.random.Generator):
             self._rng = self._rng()
-        # buffer the next block, doubling it to the cap: every earlier draw is used
-        size = min(len(self._nps) + _FIRST_BLOCK, _MAX_BLOCK)
+        # buffer the next block, doubling it to the cap: every earlier draw
+        # is used.  ``append`` draws before it pops the stack, whose top
+        # then counts the elements appended so far
+        size = min(len(self) + _FIRST_BLOCK, _MAX_BLOCK)
         self._draws = laplace(self.eta, self._rng, size).tolist()[::-1]
         return self._draws.pop()
 
     def append(self, x: float) -> float:
-        """Ingest one element, record its noisy dyadic partial sum, and
-        return the new noisy running sum, the value ``sum()`` reads next."""
+        """Ingest one element, release its noisy dyadic partial sum (stored
+        only after ``store_nodes``), and return the new noisy running sum,
+        the value ``sum()`` reads next."""
         stack = self._stack
         top = stack[-1]  # (k - 1, its prefix sum, its noisy running sum)
         prefix = top[1] + float(x)
         k = top[0] + 1
         start = k - (k & -k)  # the block covers (start, k]; start is on the stack
+        noise = self._draws.pop() if self._draws else self._refill() if self.eta else 0.0
         while top[0] != start:
             stack.pop()
             top = stack[-1]
-        value = (prefix - top[1]) + (self._draws.pop() if self._draws else self._refill() if self.eta else 0.0)
-        self._nps.append(value)
+        value = (prefix - top[1]) + noise
+        if self._nodes is not None:
+            self._nodes.append(value)
         total = top[2] + value
         stack.append((k, prefix, total))
         return total
@@ -163,18 +145,3 @@ class BinaryMechanism:
     def sum(self) -> float:
         """Noisy running sum of everything appended so far (0.0 when empty)."""
         return self._stack[-1][2]
-
-    def block_of(self, k: int) -> tuple[int, int]:
-        """The (start, end) block covered by the k-th partial sum."""
-        if not 1 <= k <= len(self._nps):
-            raise ValueError(f"index {k} out of range for length {len(self._nps)}")
-        return (k - (k & -k) + 1, k)
-
-    def dump_rows(self) -> list[tuple[int, int, int, float]]:
-        """One (index, block_start, block_end, noisy_value) row per stored
-        partial sum."""
-        return [(k, *self.block_of(k), self._nps[k - 1]) for k in range(1, len(self._nps) + 1)]
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.append(x)

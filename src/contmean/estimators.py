@@ -11,13 +11,13 @@ levels whose truncation interval cannot be centered yet, and activates a
 level once enough distinct users have contributed to pay for a
 private-median prior.
 
-A release law is a per-count table, built once per (law, m) from the
-ledger's ``releases`` by ``_release_table``, and ``step`` applies it
+A release law is a per-count table, built from the ledger's
+``releases`` by ``_release_table`` and shared, and ``step`` applies it
 inline.  So a withheld sample makes no Python call: it adds the value to
 its user's running sum in ``pending`` and publishes the estimate the last
 release set.  A release calls the route to the counter (``_release``),
-which sets the estimate, and the counter's ``append``, which returns the
-new running sum.
+which clamps the block with two comparisons and sets the estimate, and the
+counter's ``append``, which returns the new running sum.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from contmean.binmech import BinaryMechanism
-from contmean.median import MedianRequest, array_size, arrays_required, private_median
+from contmean.median import MedianRequest, array_size, arrays_required, extend_columns, private_median
 from contmean.noise import BudgetLedger, spawn_rng
 from contmean.streams import StreamEvent, _require_int
 from contmean.truncate import (
@@ -439,18 +439,19 @@ class CappedSupply:
 
 # --------------------------------------------------------------------------
 
-# the release tables ``_release_table`` has built, one per (law, m)
-_TABLES: dict[tuple[type[UserLedger], int], tuple[tuple[int, int] | None, ...]] = {}
+# the release tables ``_release_table`` has built
+_TABLES: dict[object, tuple[tuple[int, int] | None, ...]] = {}
 
 
 def _release_table(ledger: UserLedger, m: int) -> tuple[tuple[int, int] | None, ...]:
-    """``ledger``'s release law for counts up to m, as a table shared by
-    every estimator with the same law and m: entry c is
-    ``ledger.releases(c)``, and entry 0, which no count reaches, is None."""
-    key = type(ledger), m
-    table = _TABLES.get(key)
-    if table is None:
-        table = _TABLES[key] = (None, *map(ledger.releases, range(1, m + 1)))
+    """``ledger``'s law for counts up to at least m, as a shared table of
+    ``releases(c)`` at c (None at 0): one per law, grown to the largest m
+    seen, as the table at m is a prefix of those at larger m, but one per m
+    for the batch law, which depends on m."""
+    key = (BatchLedger, m) if isinstance(ledger, BatchLedger) else type(ledger)
+    table = _TABLES.get(key, (None,))
+    if len(table) <= m:
+        table = _TABLES[key] = table + tuple(map(ledger.releases, range(len(table), m + 1)))
     return table
 
 
@@ -466,7 +467,8 @@ class _EstimatorBase:
       blocks (``single``, ``multi``, ``full``).  ``_law`` tabulates it per
       count, and ``step`` applies the table itself, as ``ledger.record``
       would: a withheld sample joins its user's sum in ``pending``, and a
-      release pops that sum into ``_release``.
+      release pops that sum into ``_release``, or, for a block of one
+      sample, passes the sample itself.
     - The privacy table, hence the counters: one that every release level
       feeds (``naive``, ``wishful``, ``single``), or one per level
       (``multi``, ``full``), whose noisy sums ``_sums`` keeps.
@@ -538,10 +540,10 @@ class _EstimatorBase:
         self._diversity_prior = _diversity_prior(m, config.eps, config.delta) if tracking else None
         self._diversity_rhs = math.inf
         self._active: tuple[int, ...] | None = (0, 1) if algorithm == "full" else None
-        # the longest stream accepted: T for naive and wishful, whose one
-        # level is fed per sample or per batch
+        # the longest stream accepted, an int for ``step`` to compare: T for
+        # naive and wishful, else n * m, which the per-user cap ensures
         one_level = algorithm in ("naive", "wishful")
-        self._max_t = config.T if one_level else math.inf
+        self._max_t = int(config.T if one_level else config.n * config.m)
         levels = 1 if one_level else top_level(m) + 1
         # each level's counter's noisy sum, or None when one counter takes
         # every level
@@ -562,8 +564,10 @@ class _EstimatorBase:
         self.buffers: dict[int, list[float]] = {lv: [] for lv in waiting}
         self.priors: dict[int, float] = {}
         # each user's first 2^(L-1) events: the most any level's median
-        # reads, and at least every waiting level's array size
+        # reads, and at least every waiting level's array size; each
+        # activation adds the events since the last to its median's columns
         self._history: list[StreamEvent] = []
+        self._columns = None
         self._history_cap = 1 << (levels - 2) if self.buffers else 0
         # the lowest waiting level's threshold for ``supply.gate``, which
         # ``supply`` keeps at that level's cap until the last activation
@@ -672,9 +676,10 @@ class _EstimatorBase:
             pending[user] = pending.get(user, 0.0) + value
             bits = self._oob
         else:
-            # ``_release`` runs before ``_oob`` is read: it moves the estimate
+            # ``_release`` runs before ``_oob`` is read: it moves the estimate.
+            # A block of one is the sample, and none of its user's is pending
             level, block_size = released
-            block_sum = self.pending.pop(user, 0.0) + value
+            block_sum = value if block_size == 1 else self.pending.pop(user, 0.0) + value
             bits = (4 if self._release(level, block_sum, block_size) else 0) + self._oob
         if half is not None and half >= self._diversity_rhs:
             bits += 1
@@ -707,8 +712,9 @@ class _EstimatorBase:
         if bounds is None:
             sigma = block_sum
         else:
+            # ``project``'s two comparisons, a tenth of min(max(...))'s cost
             lo, hi = bounds
-            sigma = min(max(block_sum, lo), hi)
+            sigma = lo if block_sum < lo else hi if hi < block_sum else block_sum
         sums = self._sums
         if sums is None:
             # ``math.fsum([s])`` is s for every running sum s, which is never
@@ -754,7 +760,8 @@ class _EstimatorBase:
 
     def _median_request(self, level: int) -> MedianRequest:
         row = self._prior_row(level)
-        return MedianRequest(self._history, row.share, level, row.beta)
+        self._columns = extend_columns(self._columns, self._history)
+        return MedianRequest(self._history, row.share, level, row.beta, self._columns)
 
     def _activate(self, level: int) -> None:
         cfg = self.config
@@ -777,6 +784,7 @@ class _EstimatorBase:
             supply.gate_cap = supply.gate = 0
             self._need = math.inf
             self._history = []
+            self._columns = None
             self._history_cap = 0
 
     # -- branching ---------------------------------------------------------
@@ -789,13 +797,14 @@ class _EstimatorBase:
         Mutable state is copied, and state that is never written into is
         shared: the config, privacy table, release table, budget ledger
         (only ``__init__`` charges it), trace records, and the intervals,
-        clamp bounds and priors, which ``_set_interval`` and ``_activate``
-        replace whole.  ``counts`` and ``pending`` alias the twin's ledger.  The
-        twin is built without ``__init__``, so it charges nothing.  It
-        copies the attributes ``__init__`` sets, one by one and in the
-        same order, never through ``__dict__``: on CPython 3.11 an
-        instance whose ``__dict__`` has been materialised loses the inline
-        attribute layout that ``step``'s specialised attribute loads expect.
+        clamp bounds, priors and history columns, which ``_set_interval``
+        and ``_activate`` replace whole.  ``counts`` and ``pending`` alias
+        the twin's ledger.  The twin is built without ``__init__``, so it
+        charges nothing.  It copies the attributes ``__init__`` sets, one by
+        one and in the same order, never through ``__dict__``: on CPython
+        3.11 an instance whose ``__dict__`` has been materialised loses the
+        inline attribute layout that ``step``'s specialised attribute loads
+        expect.
         """
         cls = type(self)
         twin = cls.__new__(cls)
@@ -824,6 +833,7 @@ class _EstimatorBase:
         twin.buffers = {lv: vals[:] for lv, vals in self.buffers.items()}
         twin.priors = self.priors
         twin._history = self._history[:]
+        twin._columns = self._columns
         twin._history_cap = self._history_cap
         twin._need = self._need
         return twin

@@ -275,8 +275,12 @@ def _audit_config(config: EstimatorConfig) -> EstimatorConfig:
 @functools.lru_cache(maxsize=64)
 def _audit_root(config: EstimatorConfig):
     """The estimator every replay of an audited ``config`` starts from, as
-    a ``copy()``; it is never stepped itself."""
-    return make_estimator(config)
+    a ``copy()``; it is never stepped itself.  Its counters store every
+    partial sum, the nodes an audit compares, and so do their copies."""
+    root = make_estimator(config)
+    for mech in root.mechanisms:
+        mech.store_nodes()
+    return root
 
 
 def _check_layout(widths: list[int], other: list[int], count: int) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "MedianRequest",
     "array_size",
     "arrays_required",
+    "extend_columns",
     "prior_array_count",
     "private_median",
     "utility_radius",
@@ -74,15 +75,29 @@ def utility_radius(arrays: int, level: int, delta: float) -> float:
     return 2.0 * math.sqrt(math.log(2.0 * arrays / delta) / 2.0**level)
 
 
+def extend_columns(columns: tuple | None, history: Sequence[StreamEvent]) -> tuple[np.ndarray, np.ndarray]:
+    """The user (int64) and value (float64) columns of ``history``, given
+    ``columns`` of a prefix of it (None: empty), as new arrays: only the
+    events past the prefix are read."""
+    new = history[len(columns[0]) :] if columns else history
+    users = np.fromiter(map(operator.itemgetter(1), new), dtype=np.int64, count=len(new))
+    values = np.fromiter(map(operator.itemgetter(2), new), dtype=np.float64, count=len(new))
+    if columns:
+        users, values = np.concatenate((columns[0], users)), np.concatenate((columns[1], values))
+    return users, values
+
+
 @dataclass(frozen=True)
 class MedianRequest:
     """Inputs for one private-median call on the stream history up to now,
-    which is read where it lies, not copied."""
+    which is read where it lies, not copied, or through ``columns``, its
+    ``extend_columns``, when given."""
 
     history: Sequence[StreamEvent]
     eps: float
     level: int
     beta: float
+    columns: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -145,10 +160,9 @@ def _pack(request: MedianRequest) -> np.ndarray:
     """
     k = request.arrays_required
     size = request.array_size
-    history = request.history
-    h = len(history)
-    users = np.fromiter(map(operator.itemgetter(1), history), dtype=np.int64, count=h)
-    values = np.fromiter(map(operator.itemgetter(2), history), dtype=np.float64, count=h)
+    columns = request.columns
+    users, values = extend_columns(None, request.history) if columns is None else columns
+    h = len(users)
 
     # ascending user, each user's events in arrival order.  The stable sort
     # runs on ids - min(ids) (exact in uint64 for any int64 ids) cast to the

@@ -109,17 +109,19 @@ def interval_full(
 
 
 def clamp_bounds(interval: TruncationInterval, block_size: int) -> tuple[float, float]:
-    """The interval intersected with [0, block_size], as (lo, hi): honest
-    sums of ``block_size`` samples in [0, 1] cannot leave that range, so
-    this only tightens the sensitivity."""
-    return max(interval.lo, 0.0), min(interval.hi, float(block_size))
+    """The interval intersected with [0, block_size], as (lo, hi), lo <=
+    hi: honest sums of ``block_size`` samples in [0, 1] cannot leave that
+    range, so this only tightens the sensitivity."""
+    lo, hi = max(interval.lo, 0.0), min(interval.hi, float(block_size))
+    if not lo <= hi:
+        raise ValueError(f"interval [{interval.lo}, {interval.hi}] misses [0, {block_size}]")
+    return lo, hi
 
 
 def project(interval: TruncationInterval, s: float, block_size: int | None = None) -> float:
     """Clamp s into the interval (identity on interior points), first
     intersected with [0, block_size] when a block size is given
-    (``clamp_bounds``)."""
-    if block_size is None:
-        return min(max(s, interval.lo), interval.hi)
-    lo, hi = clamp_bounds(interval, block_size)
-    return min(max(s, lo), hi)
+    (``clamp_bounds``).  Two comparisons, which ``_EstimatorBase._release``
+    inlines, give what min(max(s, lo), hi) gives, ties and signed zeros too."""
+    lo, hi = (interval.lo, interval.hi) if block_size is None else clamp_bounds(interval, block_size)
+    return lo if s < lo else hi if hi < s else s

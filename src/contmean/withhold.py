@@ -17,7 +17,7 @@ block_size)``, or None.  One ``record`` applies the law for all three,
 and an estimator's ``step`` applies the same law from a table of
 ``releases`` (``estimators._release_table``).  Beyond ``releases``, the
 three differ only in ``pending_count``, which counts what each law
-withholds.
+withholds; the batch law also refuses a user's (m+1)-th sample.
 
 Each keeps two numbers per user: a count, and, while the user has samples
 withheld, their running sum in ``pending``; how many are withheld follows
@@ -81,20 +81,21 @@ class UserLedger:
         count releases under ``releases``, else None.
 
         A block sums its samples in arrival order, ((0.0 + v1) + v2) + ...,
-        one running sum per user; values on a dyadic grid sum exactly.
+        one running sum per user; values on a dyadic grid sum exactly, and a
+        block of one is the sample itself.
         ``count`` must equal ``counts.get(user_id, 0)``: the caller has read
         it, so this reads no count and checks no value.  ``step`` applies
         the same law inline.
         """
         count += 1
-        self.counts[user_id] = count
         released = self.releases(count)
+        self.counts[user_id] = count
         pending = self.pending
         if released is None:
             pending[user_id] = pending.get(user_id, 0.0) + value
             return None
         level, block_size = released
-        return level, pending.pop(user_id, 0.0) + value, block_size
+        return level, value if block_size == 1 else pending.pop(user_id, 0.0) + value, block_size
 
     def copy(self) -> UserLedger:
         """An independent ledger with the same counts and withheld sums."""
@@ -139,6 +140,8 @@ class BatchLedger(UserLedger):
         self.m = m
 
     def releases(self, count: int) -> tuple[int, int] | None:
+        if count > self.m:  # before ``record`` moves any state
+            raise ValueError(f"count {count} exceeds the per-user cap m={self.m}")
         return (0, self.m) if count == self.m else None
 
     def pending_count(self) -> int:

@@ -3,8 +3,8 @@
 These are deliberately straightforward dict-and-loop reimplementations of
 the release schedule and denominator accounting, kept free of the package's
 mechanism/estimator classes so they can serve as oracles for noiseless
-runs.  ``noisy_counter`` takes only the dyadic decomposition and the scalar
-Laplace draw from the package.  ``reference_trace_csv`` writes trace records
+runs.  ``noisy_counter`` takes only the scalar Laplace draw from the
+package, and adds its running sums over the blocks of ``decompose``.  ``reference_trace_csv`` writes trace records
 through ``csv.writer``.  The ``reference_audit_*`` functions still build
 every variant fresh through ``make_estimator`` and replay it from t = 1, so
 they independently check the auditor's walk from copies of one cached
@@ -17,10 +17,10 @@ those steps became whole-array numpy operations.
 import csv
 import io
 import math
+from array import array
 
 import numpy as np
 
-from contmean.binmech import decompose
 from contmean.estimators import make_estimator
 from contmean.harness import AuditMechanismReport, AuditReport, _audit_config, _per_mechanism_bounds
 from contmean.median import BinGrid, InsufficientDiversityError
@@ -136,6 +136,29 @@ def single_user_prefix_users(n, m, T, prefix_len=None):
     return seq
 
 
+def partial_sums(mech) -> tuple[float, ...]:
+    """The partial sums a counter stores (``store_nodes``), in index order."""
+    out = array("d")
+    mech.write_partial_sums(out)
+    return tuple(out)
+
+
+def decompose(k: int) -> tuple[tuple[int, int], ...]:
+    """Split [1, k] into the dyadic blocks (1-based, inclusive) given by the
+    set bits of k, most significant first, so sizes strictly decrease, e.g.
+    decompose(6) -> ((1, 4), (5, 6))."""
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    blocks = []
+    index = 0
+    for j in range(k.bit_length() - 1, -1, -1):
+        bit = 1 << j
+        if k & bit:
+            blocks.append((index + 1, index + bit))
+            index += bit
+    return tuple(blocks)
+
+
 def noisy_counter(values, eta, rng):
     """Yield (k-th partial sum, running sum) after each append to a tree counter.
 
@@ -150,7 +173,7 @@ def noisy_counter(values, eta, rng):
         k = len(prefix) - 1
         nps.append((prefix[k] - prefix[k - (k & -k)]) + laplace(eta, rng))
         acc = 0.0
-        for end in decompose(k).ends():
+        for _, end in decompose(k):
             acc += nps[end - 1]
         yield nps[-1], acc
 
@@ -255,9 +278,11 @@ def _grid_runs(config, events, positions):
             ev = variant[pos]
             variant[pos] = StreamEvent(t=ev.t, user=ev.user, value=float((mask >> bit) & 1))
         est = make_estimator(config)
+        for mech in est.mechanisms:
+            mech.store_nodes()  # as the auditor's root does
         for ev in variant:
             est.step(ev)
-        runs.append([np.asarray(mech.noisy_partial_sums) for mech in est.mechanisms])
+        runs.append([np.asarray(partial_sums(mech)) for mech in est.mechanisms])
     return runs
 
 

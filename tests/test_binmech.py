@@ -7,8 +7,34 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contmean.binmech import BinaryMechanism, audit_influence, decompose
+from contmean.binmech import BinaryMechanism, audit_influence
 from contmean.noise import spawn_rng
+from oracles import decompose, partial_sums
+
+
+def storing(eta, rng, label=""):
+    """A counter that stores every partial sum, as an audited one does."""
+    mech = BinaryMechanism(eta, rng, label)
+    mech.store_nodes()
+    return mech
+
+
+def extend(mech, xs):
+    for x in xs:
+        mech.append(x)
+
+
+def block_of(mech, k):
+    """The (start, end) block covered by the k-th partial sum."""
+    if not 1 <= k <= len(mech):
+        raise ValueError(f"index {k} out of range for length {len(mech)}")
+    return (k - (k & -k) + 1, k)
+
+
+def dump_rows(mech):
+    """One (index, block_start, block_end, noisy_value) row per stored
+    partial sum."""
+    return [(k, *block_of(mech, k), v) for k, v in enumerate(partial_sums(mech), start=1)]
 
 
 def brute_influence(mech_len: int, element_index: int) -> int:
@@ -33,7 +59,7 @@ class TestDecompose:
         ],
     )
     def test_known_decompositions(self, k, expected):
-        assert list(decompose(k).blocks) == expected
+        assert list(decompose(k)) == expected
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -42,7 +68,7 @@ class TestDecompose:
     @given(st.integers(min_value=1, max_value=2**20))
     @settings(max_examples=200)
     def test_blocks_partition_and_count(self, k):
-        blocks = decompose(k).blocks
+        blocks = decompose(k)
         # contiguous, disjoint, covering [1, k]
         assert blocks[0][0] == 1 and blocks[-1][1] == k
         for (a, b), (c, d) in zip(blocks, blocks[1:]):
@@ -55,25 +81,26 @@ class TestDecompose:
 
 class TestAppendAndSum:
     def test_noiseless_partial_sums_hand_computed(self):
-        mech = BinaryMechanism(0.0, spawn_rng(0, 0))
-        mech.extend([1.0, 0.0, 1.0, 1.0])
+        mech = storing(0.0, spawn_rng(0, 0))
+        extend(mech, [1.0, 0.0, 1.0, 1.0])
         # blocks {1}, {1-2}, {3}, {1-4}
-        assert list(mech.noisy_partial_sums) == [1.0, 1.0, 1.0, 3.0]
+        assert list(partial_sums(mech)) == [1.0, 1.0, 1.0, 3.0]
 
     def test_block_coverage_examples(self):
         mech = BinaryMechanism(0.0, spawn_rng(0, 0))
-        mech.extend([0.0] * 6)
-        assert mech.block_of(1) == (1, 1)  # k=1, lowest set bit 2^0
-        assert mech.block_of(6) == (5, 6)  # k=6 (binary 110), block size 2
+        extend(mech, [0.0] * 6)
+        assert block_of(mech, 1) == (1, 1)  # k=1, lowest set bit 2^0
+        assert block_of(mech, 6) == (5, 6)  # k=6 (binary 110), block size 2
 
     def test_sum_empty_stream(self):
         assert BinaryMechanism(0.0, spawn_rng(0, 0)).sum() == 0.0
 
     def test_sum_recombination_oracle(self):
-        mech = BinaryMechanism(0.0, spawn_rng(0, 0))
-        mech.extend([1.0, 0.0, 1.0])
+        mech = storing(0.0, spawn_rng(0, 0))
+        extend(mech, [1.0, 0.0, 1.0])
         # k=3 combines the entries at indices 2 and 3
-        assert mech.sum() == mech.noisy_partial_sums[1] + mech.noisy_partial_sums[2] == 2.0
+        nodes = partial_sums(mech)
+        assert mech.sum() == nodes[1] + nodes[2] == 2.0
         mech.append(1.0)
         assert mech.sum() == 3.0
 
@@ -91,16 +118,16 @@ class TestAppendAndSum:
 
     def test_write_once_replay_identical(self):
         values = list(np.random.default_rng(1).random(100))
-        a = BinaryMechanism(3.0, spawn_rng(77, 4))
-        b = BinaryMechanism(3.0, spawn_rng(77, 4))
+        a = storing(3.0, spawn_rng(77, 4))
+        b = storing(3.0, spawn_rng(77, 4))
         for x in values:
             a.append(x)
-        prefix_snapshot = a.noisy_partial_sums[:50]
+        prefix_snapshot = partial_sums(a)[:50]
         for x in values:
             b.append(x)
-        assert a.noisy_partial_sums == b.noisy_partial_sums
+        assert partial_sums(a) == partial_sums(b)
         # earlier entries were never rewritten
-        assert a.noisy_partial_sums[:50] == prefix_snapshot
+        assert partial_sums(a)[:50] == prefix_snapshot
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 1100), st.sampled_from([0.0, 0.5, 1e3]), st.integers(0, 2**32 - 1))
@@ -122,9 +149,9 @@ class TestAppendAndSum:
             BinaryMechanism(eta, spawn_rng(0, 0))
 
     def test_noise_scale_is_applied(self):
-        mech = BinaryMechanism(10.0, spawn_rng(3, 0))
-        mech.extend([0.0] * 64)
-        spread = np.std(mech.noisy_partial_sums)
+        mech = storing(10.0, spawn_rng(3, 0))
+        extend(mech, [0.0] * 64)
+        spread = np.std(partial_sums(mech))
         assert 5.0 < spread < 30.0  # Var = 2 * 10^2 -> std ~ 14
 
 
@@ -157,7 +184,30 @@ class TestInfluence:
 
 class TestDump:
     def test_dump_rows_structure(self):
-        mech = BinaryMechanism(0.0, spawn_rng(0, 0), label="demo")
-        mech.extend([1.0, 1.0, 1.0])
-        rows = mech.dump_rows()
+        mech = storing(0.0, spawn_rng(0, 0), label="demo")
+        extend(mech, [1.0, 1.0, 1.0])
+        rows = dump_rows(mech)
         assert rows == [(1, 1, 1, 1.0), (2, 1, 2, 2.0), (3, 3, 3, 1.0)]
+
+
+class TestStoredNodes:
+    """A counter stores its partial sums only once asked, before any
+    append; its length and running sums never need them."""
+
+    def test_unstored_counter_counts_and_sums(self):
+        mech = BinaryMechanism(0.0, spawn_rng(0, 0), label="c")
+        extend(mech, [1.0, 0.5, 0.25])
+        assert (len(mech), mech.sum()) == (3, 1.75)
+        with pytest.raises(ValueError, match="stores no partial sums"):
+            partial_sums(mech)
+        with pytest.raises(ValueError, match="already holds 3 elements"):
+            mech.store_nodes()
+
+    def test_copies_keep_storage(self):
+        stored = storing(2.0, spawn_rng(0, 0))
+        extend(stored, [1.0, 0.5])
+        twin = stored.copy()
+        twin.append(0.25)
+        assert partial_sums(twin)[:2] == partial_sums(stored) and len(partial_sums(twin)) == 3
+        with pytest.raises(ValueError):
+            partial_sums(BinaryMechanism(2.0, spawn_rng(0, 0)).copy())

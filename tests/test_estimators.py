@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from array import array
 from decimal import Decimal
 from pathlib import Path
 
@@ -35,8 +36,9 @@ from contmean.estimators import (
 from contmean.median import MedianRequest, array_size, private_median
 from contmean.noise import spawn_rng
 from contmean.streams import OrderingSpec, StreamEvent, generate
-from contmean.truncate import project
-from oracles import activation_threshold, noiseless_estimates, reference_trace_csv
+from contmean.truncate import TruncationInterval, clamp_bounds, project
+from contmean.withhold import SampleLedger, UserLedger
+from oracles import activation_threshold, noiseless_estimates, partial_sums, reference_trace_csv
 from test_golden import SETTINGS as GOLDEN_SETTINGS
 
 LN = math.log
@@ -127,22 +129,36 @@ class TestConfigValidation:
         assert make_estimator(EstimatorConfig("multi", **numpy_kw)).run(events) == plain
 
 
-def frames_in_step(est, event) -> list[tuple[str, str]]:
-    """Every Python frame ``est.step(event)`` enters, inside the package or
-    outside it, as (file name, qualified name) in call order, counted with
-    ``sys.setprofile``: Python-level calls only."""
-    frames = []
+def profile_step(est, event) -> tuple[list[tuple[str, str]], list]:
+    """What ``est.step(event)`` calls, in call order, seen by
+    ``sys.setprofile``: every Python frame it enters, inside the package or
+    outside it, as (file name, qualified name), and every C function it
+    calls (``c_call``), a bound method of its receiver's type for a method
+    call such as ``pending.pop``."""
+    frames, builtins = [], []
 
-    def profile(frame, what, _arg):
+    def profile(frame, what, arg):
         if what == "call":
             frames.append((frame.f_code.co_filename, frame.f_code.co_qualname))
+        elif what == "c_call":
+            builtins.append(arg)
 
     sys.setprofile(profile)
     try:
         est.step(event)
     finally:
         sys.setprofile(None)
-    return frames[1:]  # the step called here
+    return frames[1:], builtins[:-1]  # not the step called here, nor ``setprofile``
+
+
+def frames_in_step(est, event) -> list[tuple[str, str]]:
+    """Every Python frame ``est.step(event)`` enters (``profile_step``)."""
+    return profile_step(est, event)[0]
+
+
+def c_methods(builtins, owner: type, name: str) -> list:
+    """The calls among ``builtins`` of method ``name`` of an ``owner``."""
+    return [f for f in builtins if type(getattr(f, "__self__", None)) is owner and f.__name__ == name]
 
 
 def calls_in_step(est, event) -> list[str]:
@@ -190,6 +206,41 @@ class TestCallBudget:
         assert est.buffers and est._history_cap > 2
         assert calls_in_step(est, StreamEvent(t=9, user=2, value=0.5)) == []
         assert len(est._history) == 9
+
+    def test_clamped_release_calls_no_min_or_max(self):
+        # at prior 0 level 3's bounds end below 4, so user 1's 8th sample
+        # releases a clipped block of four 1.0s
+        config = any_config("multi", n=3, m=8, T=24, eps=1.0, delta=1.0, prior=0.0, noise_override=0.0)
+        est = make_estimator(config)
+        est.run(events_of([1] * 7, [1.0] * 7))
+        _, builtins = profile_step(est, StreamEvent(t=8, user=1, value=1.0))
+        assert "clip" in est.records[-1].flags and est._clamps[3][1] < 4.0
+        assert math.fsum in builtins  # the profile sees C calls
+        assert min not in builtins and max not in builtins
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_counter_stores_nodes_only_when_asked(self, store):
+        # an audit's counters store every partial sum; others only stack
+        est = make_estimator(any_config("naive", n=3, m=8, T=24, eps=1.0, delta=0.1, noise_override=0.0))
+        if store:
+            for mech in est.mechanisms:
+                mech.store_nodes()
+        _, builtins = profile_step(est, StreamEvent(t=1, user=1, value=0.5))
+        assert len(c_methods(builtins, array, "append")) == store
+        assert c_methods(builtins, list, "append")  # the profile sees the stack's append
+
+    @pytest.mark.parametrize("algorithm, users", [
+        ("naive", [1, 2, 1, 1]), ("wishful", []), ("single", [1]), ("multi", [1]), ("full", [1]),
+    ])
+    def test_one_sample_block_reads_no_pending_sum(self, algorithm, users):
+        # naive releases every sample alone, wishful at m = 1, and the
+        # dyadic laws at a user's 1st and 2nd samples
+        m = 1 if algorithm == "wishful" else 8
+        est = make_estimator(any_config(algorithm, n=3, m=m, T=24, eps=1.0, delta=0.1, noise_override=0.0))
+        est.run(events_of(users, [0.5] * len(users)))
+        _, builtins = profile_step(est, StreamEvent(t=len(users) + 1, user=1, value=0.5))
+        assert est.records[-1].total == est.total > 0
+        assert [f for f in builtins if getattr(f, "__self__", None) is est.pending] == []
 
 
 def law_replay(config, events):
@@ -281,11 +332,30 @@ class TestStepAppliesLedgerLaw:
         assert twin.pending is not est.pending
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_one_table_per_law_and_cap(self, algorithm):
+    def test_one_table_per_law(self, algorithm):
+        # the dyadic and per-sample laws share one table, grown to the
+        # largest m seen; the batch law, which depends on m, one per m
         config = any_config(algorithm, n=3, m=6, T=18, eps=1.0, delta=0.1)
         est = make_estimator(config)
-        assert est._law == (None, *map(est.ledger.releases, range(1, 7)))
+        assert est._law[:7] == (None, *map(est.ledger.releases, range(1, 7)))
         assert make_estimator(config)._law is est._law and est.copy()._law is est._law
+        wider = make_estimator(dataclasses.replace(config, m=40))
+        assert wider._law[:41] == (None, *map(wider.ledger.releases, range(1, 41)))
+        if algorithm == "wishful":
+            assert len(est._law) == 7 and len(wider._law) == 41
+        else:
+            assert wider._law[: len(est._law)] == est._law
+            assert make_estimator(config)._law is wider._law
+
+    def test_criterion_5_caps_leave_one_table_per_law(self, monkeypatch):
+        # criterion 5 builds ``full`` at each m of 2..1024; naive here too
+        monkeypatch.setattr(contmean.estimators, "_TABLES", {})
+        for m in range(2, 1025):
+            for algorithm in ("full", "naive"):
+                make_estimator(any_config(algorithm, n=4, m=m, T=m, eps=1.0, delta=0.1, track_diversity=False))
+        tables = contmean.estimators._TABLES
+        assert list(tables) == [UserLedger, SampleLedger]
+        assert [len(table) for table in tables.values()] == [1025, 1025]
 
 
 class TestNoRecordInit:
@@ -765,6 +835,60 @@ class TestClampBounds:
                 assert min(max(s, lo), hi).hex() == project(interval, s, size).hex()
 
 
+class TestReleaseClamp:
+    """``_release`` clamps with two comparisons: the block it appends is
+    ``project``'s, and ``min(max(s, lo), hi)``'s, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.floats(0.0, 1.0), st.floats(0.0, 12.0), st.data())
+    def test_clamp_is_project(self, level, prior, half_width, data):
+        size = array_size(level)
+        interval = TruncationInterval(center=size * prior, half_width=half_width, level=level)
+        lo, hi = clamp_bounds(interval, size)
+        s = data.draw(st.one_of(
+            st.sampled_from([lo, hi, -lo, -hi, 0.0, -0.0, float(size)]),
+            st.floats(-1.0, size + 1.0), st.floats(allow_nan=False),
+        ))
+        est = make_estimator(noiseless_config("multi", n=3, m=16, eps=1.0, delta=0.1, prior=0.5))
+        est._set_interval(level, interval, size)
+        appended = []
+        est.mechanisms[level].append = lambda x: appended.append(x) or 0.0
+        clipped = est._release(level, s, size)
+        assert appended[0].hex() == project(interval, s, size).hex() == min(max(s, lo), hi).hex()
+        assert clipped == (appended[0] != s)
+
+
+class TestNegativeZeroSamples:
+    """A -0.0 sample publishes exactly what 0.0 does.  A block of one is
+    the sample itself, -0.0 where 0.0 + -0.0 used to give 0.0, but the
+    clamp keeps either as it is, and the counter adds either to a prefix
+    sum that is never -0.0."""
+
+    @pytest.mark.parametrize("noise", [None, 0.0])
+    @pytest.mark.parametrize("algorithm, m", [
+        ("naive", 1), ("naive", 4), ("wishful", 1), ("wishful", 4), ("single", 4), ("multi", 4), ("full", 4),
+    ])
+    def test_outputs_bit_identical(self, algorithm, m, noise):
+        n = 6
+        ordering = OrderingSpec("contiguous" if algorithm == "wishful" else "round_robin")
+        users = [ev.user for ev in generate(0.5, n, m, n * m, ordering, seed=3)]
+        zeros = [(0.0, 1.0, 0.25)[i % 3] for i in range(n * m)]
+        config = any_config(
+            algorithm, n=n, m=m, T=n * m, eps=1.0, delta=0.1, seed=4, noise_override=noise,
+            prior_override=0.25 if algorithm == "full" else None,
+        )
+        runs = []
+        for values in (zeros, [-v if v == 0.0 else v for v in zeros]):
+            est = stored_estimator(config)
+            est.run(events_of(users, values))
+            runs.append((
+                repr(est.records), [[v.hex() for v in partial_sums(mech)] for mech in est.mechanisms],
+                {u: s.hex() for u, s in est.pending.items()}, est.buffers,
+            ))
+        assert runs[0] == runs[1]
+        assert "-0.0" not in runs[1][0]
+
+
 def set_fields(obj) -> list[str]:
     """The names of the attributes ``obj`` holds: its set ``__slots__``,
     then its ``__dict__`` keys, each in order."""
@@ -772,11 +896,21 @@ def set_fields(obj) -> list[str]:
     return [f for f in slots if hasattr(obj, f)] + list(getattr(obj, "__dict__", ()))
 
 
+def stored_estimator(config):
+    """An estimator whose counters store every partial sum, as an audited
+    one's do, so ``estimator_state`` can read them."""
+    est = make_estimator(config)
+    for mech in est.mechanisms:
+        mech.store_nodes()
+    return est
+
+
 def estimator_state(est) -> str:
-    """Everything ``step`` changes, exact to the last bit of every float."""
+    """Everything ``step`` changes, exact to the last bit of every float;
+    ``est`` must store its counters' partial sums (``stored_estimator``)."""
     return repr((
         est.t, est.total, est.records, est.counts, est.budget.entries, est.active_levels(),
-        [(mech.noisy_partial_sums, mech.sum()) for mech in est.mechanisms],
+        [(partial_sums(mech), mech.sum()) for mech in est.mechanisms],
         [getattr(est.supply, f) for f in CappedSupply.__slots__],
         getattr(est, "ledger", None) and est.ledger.pending, getattr(est, "_intervals", None),
         getattr(est, "priors", None), getattr(est, "buffers", None), getattr(est, "_history", None),
@@ -820,9 +954,9 @@ class TestCopy:
     @example(_full_copy_case("single_user_prefix", 200, 170, noise=False))
     def test_twin_continues_as_one_run(self, case):
         config, events, cut = case
-        whole = make_estimator(config)
+        whole = stored_estimator(config)
         whole.run(events)
-        est = make_estimator(config)
+        est = stored_estimator(config)
         est.run(events[:cut])
         at_cut = estimator_state(est)
         twin = est.copy()
@@ -1033,7 +1167,7 @@ class TestInputValidation:
         # step refuses it, multi's ledger raises TypeError on the running
         # sum at t = 3 after the counts have moved, and the next step KeyError
         config = any_config(algorithm, n=2, m=8, T=16, eps=1.0, delta=0.1)
-        est, twin = make_estimator(config), make_estimator(config)
+        est, twin = stored_estimator(config), stored_estimator(config)
         events = events_of([1, 1, 1], [0.5, 0.25, 0.75])
         est.run(events[:2])
         before = estimator_state(est)
@@ -1065,7 +1199,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("user", [1.5, 1.0, "1", True, None])
     def test_user_id_must_be_an_integer(self, algorithm, user):
-        est = make_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
+        est = stored_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
         est.step(StreamEvent(t=1, user=2, value=1.0))
         before = estimator_state(est)
         with pytest.raises(ValueError, match="^user: .* is not an integer"):
@@ -1116,7 +1250,7 @@ class TestInputValidation:
         # NaN fails ``t > last`` and ``t <= last`` alike: refused only on
         # the second, NaN times were accepted, and after one any time was
         config = any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1, seed=2)
-        est, twin = make_estimator(config), make_estimator(config)
+        est, twin = stored_estimator(config), stored_estimator(config)
         events = events_of([1, 1, 1], [0.5, 0.25, 0.75])
         est.run(events[:2])
         twin.run(events[:2])
@@ -1157,7 +1291,7 @@ class TestRejectedEvents:
 
     def test_naive_stream_longer_than_t(self):
         kw = dict(n=2, m=4, T=3, eps=1.0, delta=0.1, seed=2)
-        est, twin = make_estimator(EstimatorConfig("naive", **kw)), make_estimator(EstimatorConfig("naive", **kw))
+        est, twin = stored_estimator(EstimatorConfig("naive", **kw)), stored_estimator(EstimatorConfig("naive", **kw))
         events = events_of([1, 2, 1], [1.0, 0.0, 1.0])
         est.run(events)
         twin.run(events)
@@ -1165,7 +1299,7 @@ class TestRejectedEvents:
             est.step(StreamEvent(t=4, user=2, value=1.0))
         assert (est.t, est.counts, est.total) == (twin.t, twin.counts, twin.total)
         assert est.supply.at_least == twin.supply.at_least and est.diversity() == twin.diversity()
-        assert est.mechanisms[0].noisy_partial_sums == twin.mechanisms[0].noisy_partial_sums
+        assert partial_sums(est.mechanisms[0]) == partial_sums(twin.mechanisms[0])
 
 
 def tuple_case(algorithm):
@@ -1206,7 +1340,7 @@ class TestPlainTupleEvents:
     def test_plain_tuple_refused_with_value_error(self, algorithm, event, match):
         # user 2 arrives while wishful's batch for user 1 is open, so
         # wishful refuses through its arrival-order check
-        est = make_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
+        est = stored_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
         est.step((1, 1, 0.5))
         before = estimator_state(est)
         with pytest.raises(ValueError, match=match):
@@ -1216,7 +1350,7 @@ class TestPlainTupleEvents:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("event", [(2, 1), (2, 1, 0.5, 0.0), (), None, 0.5])
     def test_not_a_triple_raises_before_any_state_moves(self, algorithm, event):
-        est = make_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
+        est = stored_estimator(any_config(algorithm, n=4, m=4, T=16, eps=1.0, delta=0.1))
         est.step((1, 1, 0.5))
         before = estimator_state(est)
         with pytest.raises((TypeError, ValueError), match="unpack"):

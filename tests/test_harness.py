@@ -33,7 +33,7 @@ from contmean.harness import (
     sweep,
 )
 from contmean.streams import OrderingSpec, StreamEvent, generate, write_stream
-from oracles import reference_audit_sensitivity, reference_audit_value_grid, reference_trace_csv
+from oracles import partial_sums, reference_audit_sensitivity, reference_audit_value_grid, reference_trace_csv
 
 
 def spec_for(algorithm="naive", *, n=4, m=8, eps=1.0, trials=2, checkpoints=(4, 16), **kw):
@@ -575,10 +575,12 @@ class TestAuditReplays:
             for bit, pos in enumerate(positions):
                 variant[pos] = variant[pos]._replace(value=float((mask >> bit) & 1))
             est = make_estimator(config)
+            for mech in est.mechanisms:
+                mech.store_nodes()  # as the auditor's root does
             est.run(variant)
             # counter i's partial sums fill the columns after counters 0..i-1
             for w, e, mech in zip(runs.widths, ends, est.mechanisms, strict=True):
-                assert runs.sums[mask, e - w : e].tolist() == list(mech.noisy_partial_sums)
+                assert runs.sums[mask, e - w : e].tolist() == list(partial_sums(mech))
 
     def test_steps_follow_the_shared_prefixes(self, monkeypatch):
         # an event after c of the changed user's samples (its own included)

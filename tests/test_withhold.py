@@ -276,3 +276,38 @@ class TestOnSampleTypes:
                 assert (got.level, got.block_size) == (want.level, want.block_size)
             assert all(type(s) is float for s in ledger.pending.values())
             assert ledger.pending == twin.pending
+
+
+class TestBatchCap:
+    """The batch law gives a user at most m samples: ``record`` and
+    ``on_sample`` refuse the (m+1)-th, as an estimator's ``step`` does."""
+
+    def test_sample_past_m_refused_without_a_trace(self):
+        ledger = BatchLedger(2)
+        for user, value in [(1, 0.5), (1, 0.25), (2, 0.75)]:
+            ledger.on_sample(user, value)
+        counts, pending = dict(ledger.counts), {u: s.hex() for u, s in ledger.pending.items()}
+        with pytest.raises(ValueError, match="count 3 exceeds the per-user cap m=2"):
+            ledger.on_sample(1, 1.0)
+        with pytest.raises(ValueError, match="count 3 exceeds the per-user cap m=2"):
+            ledger.record(1, 1.0, 2)
+        assert ledger.counts == counts and {u: s.hex() for u, s in ledger.pending.items()} == pending
+        assert (ledger.pending_count(), ledger.released_info_count()) == (1, 2)
+        assert ledger.on_sample(2, 0.125) == ReleaseDecision(True, 0, 0.75 + 0.125, 2)
+
+
+class TestOneSampleBlocks:
+    """A block of one sample is the sample itself: no pending sum is read,
+    so a -0.0 sample is released as -0.0."""
+
+    @pytest.mark.parametrize("ledger, samples", [
+        (UserLedger(), [(1, 0), (1, 1), (2, 0)]),  # a user's 1st and 2nd samples
+        (SampleLedger(), [(1, 0), (1, 1), (2, 0)]),
+        (BatchLedger(1), [(1, 0), (2, 0), (3, 0)]),
+    ], ids=["dyadic", "per-sample", "batch"])
+    def test_block_of_one_is_the_sample(self, ledger, samples):
+        released = [ledger.record(user, -0.0, count) for user, count in samples]
+        assert [(level, block_sum.hex(), size) for level, block_sum, size in released] == [
+            (level, (-0.0).hex(), 1) for level in ([0, 1, 0] if type(ledger) is UserLedger else [0, 0, 0])
+        ]
+        assert ledger.pending == {}
