@@ -22,8 +22,10 @@ counter's ``append``, which returns the new running sum.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -306,7 +308,8 @@ def _trace_lines(records):
     # estimate text per run of equal estimates: a withhold-release estimate
     # changes only on a release.  A zero is formatted afresh, as 0.0 == -0.0,
     # and so is a change of type, as 1 == 1.0 (an int prior is published
-    # as given)
+    # as given).  Both only save work, so records written over several
+    # calls give the rows one call gives
     tails: dict = {}
     last = text = None
     for r in records:
@@ -321,6 +324,21 @@ def _trace_lines(records):
         yield f"{r.t},{r.user},{text},{r.total},{r.max_count},{tail}\r\n"
 
 
+@contextlib.contextmanager
+def _trace_file(path):
+    """``path`` opened for trace rows, its header written.  A body that
+    raises leaves no file: a trace written in parts is removed when a part
+    fails."""
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.write(",".join(TRACE_HEADER) + "\r\n")
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def write_trace(records, path) -> None:
     """Write trace records as CSV rows ``t,user,estimate,total,M_t,flags``.
 
@@ -328,8 +346,7 @@ def write_trace(records, path) -> None:
     needs quoting, since flags come from a fixed comma-free vocabulary.  The
     flags field is ``flags_str``, without the value-dependent ``clip``.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\r\n")
+    with _trace_file(path) as fh:
         fh.writelines(_trace_lines(records))
 
 
@@ -794,17 +811,17 @@ class _EstimatorBase:
         either one leaves the other as it was, and the twin publishes, stores
         and draws exactly what this estimator would from here on.
 
-        Mutable state is copied, and state that is never written into is
-        shared: the config, privacy table, release table, budget ledger
-        (only ``__init__`` charges it), trace records, and the intervals,
-        clamp bounds, priors and history columns, which ``_set_interval``
-        and ``_activate`` replace whole.  ``counts`` and ``pending`` alias
-        the twin's ledger.  The twin is built without ``__init__``, so it
-        charges nothing.  It copies the attributes ``__init__`` sets, one by
-        one and in the same order, never through ``__dict__``: on CPython
-        3.11 an instance whose ``__dict__`` has been materialised loses the
-        inline attribute layout that ``step``'s specialised attribute loads
-        expect.
+        Mutable state is copied, the trace records as a new list of the
+        same records, and state that is never written into is shared: the
+        config, privacy table, release table, budget ledger (only
+        ``__init__`` charges it), and the intervals, clamp bounds, priors and
+        history columns, which ``_set_interval`` and ``_activate`` replace
+        whole.  ``counts`` and ``pending`` alias the twin's ledger.  The
+        twin is built without ``__init__``, so it charges nothing.  It
+        copies the attributes ``__init__`` sets, one by one and in the same
+        order, never through ``__dict__``: on CPython 3.11 an instance whose
+        ``__dict__`` has been materialised loses the inline attribute layout
+        that ``step``'s specialised attribute loads expect.
         """
         cls = type(self)
         twin = cls.__new__(cls)

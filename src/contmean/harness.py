@@ -3,10 +3,12 @@
 ``run`` executes seeded Monte-Carlo trials of one estimator configuration
 and reduces per-checkpoint absolute errors to median/quantile summaries.
 A trial's events are stepped without a Python loop per event: ``step`` is
-mapped over the stream, the record at each checkpoint is the last one a
-``deque`` of length one keeps from an ``islice`` up to it, and the rest of
-the stream is drained the same way.  The events are handed out from the
-end of the reversed list, so each one is freed as soon as it is stepped.
+mapped over the stream, whose events are handed out from the end of the
+reversed list, so each one is freed as soon as it is stepped.  The
+estimator keeps no records: ``_TRACE_CHUNK`` steps at a time are taken
+into a list, the checkpoints in it read by index, and, when the trial is
+traced, its rows written before the next chunk is stepped, so a trial
+holds one chunk of records however long it runs.
 ``sweep`` runs a cartesian grid of such experiments.  ``audit_sensitivity``
 replays an estimator noiselessly on a stream and on user-level neighbors of
 it (one user's values replaced adversarially over the {0,1} grid) and
@@ -26,11 +28,11 @@ sums one counter's row.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -38,7 +40,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from contmean.estimators import EstimatorConfig, make_estimator, privacy_table, write_trace
+from contmean.estimators import EstimatorConfig, _trace_file, _trace_lines, make_estimator, privacy_table
 from contmean.streams import OrderingSpec, StreamEvent, _require_int, generate
 
 __all__ = [
@@ -57,6 +59,7 @@ SUMMARY_HEADER = ["t", "median_abs_error", "q10_abs_error", "q90_abs_error"]
 _AUDITABLE = ("naive", "single", "multi", "full")
 _GRID_LIMIT = 12  # 2^12 estimator replays is the most an audit will attempt
 _BLOCK_ENTRIES = 1 << 16  # the most pair differences held at once, over all counters
+_TRACE_CHUNK = 4096  # the most step records a trial holds at once
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +143,8 @@ def run(spec: ExperimentSpec, out_dir=None, write_traces: bool = True) -> RunSum
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    errors = np.empty((spec.trials, len(spec.checkpoints)))
+    checkpoints = spec.checkpoints
+    errors = np.empty((spec.trials, len(checkpoints)))
     trace_paths: list[Path] = []
     keep = write_traces and out_path is not None
     for trial in range(spec.trials):
@@ -149,24 +153,26 @@ def run(spec: ExperimentSpec, out_dir=None, write_traces: bool = True) -> RunSum
         events = generate(
             spec.mu, spec.config.n, spec.config.m, spec.length, spec.ordering, stream_seed
         )
-        est = make_estimator(dataclasses.replace(spec.config, seed=est_seed, keep_trace=keep))
+        est = make_estimator(dataclasses.replace(spec.config, seed=est_seed, keep_trace=False))
         # hand the events out first to last, each dropped from the list as
         # it is stepped; the None put first ends the feed
         events.append(None)
         events.reverse()
         feed = iter(events.pop, None)
         steps = map(est.step, feed)
-        stepped = 0
-        for i, t in enumerate(spec.checkpoints):
-            if t > stepped:
-                estimate = deque(islice(steps, t - stepped), maxlen=1)[0].estimate
-                stepped = t
-            errors[trial, i] = abs(estimate - spec.mu)
-        deque(steps, maxlen=0)
         if keep:
-            trace_path = out_path / f"trace_{trial:04d}.csv"
-            write_trace(est.records, trace_path)
-            trace_paths.append(trace_path)
+            trace_paths.append(out_path / f"trace_{trial:04d}.csv")
+        with _trace_file(trace_paths[-1]) if keep else contextlib.nullcontext() as fh:
+            stepped = i = 0
+            while chunk := list(islice(steps, _TRACE_CHUNK)):
+                stepped += len(chunk)
+                # a checkpoint in the chunk is an index from its end
+                while i < len(checkpoints) and checkpoints[i] <= stepped:
+                    errors[trial, i] = abs(chunk[checkpoints[i] - stepped - 1].estimate - spec.mu)
+                    i += 1
+                if keep:
+                    fh.writelines(_trace_lines(chunk))
+                del chunk  # before the next chunk is stepped
 
     summary = RunSummary(
         checkpoints=spec.checkpoints,

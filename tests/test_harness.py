@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contmean import estimators, harness
-from contmean.cli import main
+from contmean import cli, estimators, harness
+from contmean.cli import build_parser, main
 from contmean.estimators import (
     EstimatorConfig,
     full_noise_scale,
@@ -202,12 +202,21 @@ class TestRunOracle:
         "duplicate checkpoints, one at the stream's end": dict(checkpoints=(16, 4, 16, 32)),
         "stream past the last checkpoint": dict(checkpoints=(1, 5, 12), stream_len=32),
         "one checkpoint, stream past it": dict(checkpoints=(7, 7), stream_len=20),
+        # ``chunk`` sets how many records a trial is stepped into at once
+        "a chunk per record": dict(chunk=1, checkpoints=(1, 2, 32)),
+        "checkpoints on and just past chunk edges": dict(chunk=5, checkpoints=(5, 10, 11), stream_len=32),
+        "checkpoints off chunk edges, stream ending mid-chunk": dict(chunk=5, checkpoints=(3, 3, 14, 22)),
+        "stream of several chunks, ending on an edge": dict(chunk=8, checkpoints=(8, 16, 32)),
+        "stream of one chunk, past the last checkpoint": dict(chunk=32, checkpoints=(7, 31), stream_len=32),
+        "stream shorter than a chunk": dict(chunk=64, checkpoints=(9, 20), stream_len=32),
     }
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("algorithm", ["naive", "wishful", "single", "multi", "full"])
-    def test_run_equals_replay(self, tmp_path, algorithm, case):
-        spec = replay_spec(algorithm, **self.CASES[case])
+    def test_run_equals_replay(self, tmp_path, monkeypatch, algorithm, case):
+        params = dict(self.CASES[case])
+        monkeypatch.setattr(harness, "_TRACE_CHUNK", params.pop("chunk", harness._TRACE_CHUNK))
+        spec = replay_spec(algorithm, **params)
         errors, traces = replay(spec)
         expected = (
             tuple(float(x) for x in np.median(errors, axis=0)),
@@ -232,6 +241,90 @@ class TestRunOracle:
         assert (tmp_path / "untraced" / "summary.csv").read_bytes() == (
             tmp_path / "traced" / "summary.csv"
         ).read_bytes()
+
+
+class TestChunkedTraces:
+    """A trial is stepped one chunk of records at a time, and a traced
+    trial writes each chunk's rows before it steps on."""
+
+    def test_a_traced_trial_holds_one_chunk_of_records(self, tmp_path, monkeypatch):
+        # a trial that kept every record would hold 2^16 of them, about
+        # 12 MB, as its stream is freed; the peak counts from the stream's
+        # generation on, after a warm-up run fills the module caches
+        spec = spec_for("naive", n=1024, m=64, trials=1, checkpoints=(1, 1 << 15, 1 << 16))
+
+        def generate_then_reset(*args):
+            events = generate(*args)
+            tracemalloc.reset_peak()
+            return events
+
+        monkeypatch.setattr(harness, "generate", generate_then_reset)
+
+        def stepping_to_first_record(config):
+            # the baseline: every step returns the trial's first record, so
+            # however many a run holds, they take no memory
+            est = make_estimator(config)
+            step, first = est.step, []
+
+            def step_to_first(event):
+                record = step(event)
+                if not first:
+                    first.append(record)
+                return first[0]
+
+            est.step = step_to_first
+            return est
+
+        def peak(out_dir, write_traces):
+            tracemalloc.start()
+            try:
+                run(spec, out_dir, write_traces=write_traces)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(spec, out_dir=None)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "make_estimator", stepping_to_first_record)
+            baseline = peak(tmp_path / "baseline", False)
+        traced = peak(tmp_path / "traced", True)
+        assert traced - baseline <= harness._TRACE_CHUNK * 200 + (256 << 10)
+
+    def test_a_failed_trial_leaves_no_trace(self, tmp_path, monkeypatch):
+        # the second trial's step raises at t = 8, after two chunks of 3
+        # records are written
+        monkeypatch.setattr(harness, "_TRACE_CHUNK", 3)
+        built = []
+
+        def make_failing(config):
+            est = make_estimator(config)
+            built.append(est)
+            if len(built) == 2:
+                step = est.step
+
+                def step_until_eight(event):
+                    if event.t == 8:
+                        raise RuntimeError("step failed")
+                    return step(event)
+
+                est.step = step_until_eight
+            return est
+
+        monkeypatch.setattr(harness, "make_estimator", make_failing)
+        with pytest.raises(RuntimeError, match="step failed"):
+            run(spec_for("multi", trials=3), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace_0000.csv"]
+
+    def test_an_ordering_error_leaves_no_trace(self, tmp_path, monkeypatch):
+        # user 2 arrives at t = 8 while user 1's batch is open
+        monkeypatch.setattr(harness, "_TRACE_CHUNK", 3)
+        spec = dataclasses.replace(
+            spec_for("wishful", trials=1, checkpoints=(4, 16)),
+            ordering=OrderingSpec("single_user_prefix", prefix_len=7),
+        )
+        with pytest.raises(estimators.OrderingError):
+            run(spec, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:
@@ -716,6 +809,31 @@ class TestCli:
     def test_usage_error_exit_code_one(self):
         assert main(["frobnicate"]) == 1
         assert main(["run"]) == 1  # missing --spec
+
+    def test_parser_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        stream = tmp_path / "s.csv"
+        argvs = [
+            ["frobnicate"],
+            ["generate", "--mu", "0.5", "--n", "3", "--m", "4", "--T", "10", "--out", str(stream)],
+        ]
+        outputs = []
+        for _ in range(2):
+            for argv in argvs:
+                code = main(argv)
+                captured = capsys.readouterr()
+                outputs.append((code, captured.out, captured.err))
+        assert builds == [1]
+        assert outputs[:2] == outputs[2:]
+        assert outputs[0][0] == 1 and outputs[0][2].startswith("usage error: argument command: invalid choice")
+        assert outputs[1] == (0, f"wrote 10 events to {stream}\n", "")
 
     def test_precondition_violation_exit_code_two(self, tmp_path):
         bad = {
