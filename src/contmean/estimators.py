@@ -29,6 +29,8 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
+import numpy as np
+
 from contmean.binmech import BinaryMechanism
 from contmean.median import MedianRequest, array_size, arrays_required, extend_columns, private_median
 from contmean.noise import BudgetLedger, spawn_rng
@@ -231,6 +233,12 @@ class EstimatorConfig:
     track_diversity: bool = True
 
     def __post_init__(self):
+        # a numpy scalar prior is stored as the equal Python number: it is
+        # the estimate until the first release, and a trace writes its repr
+        for field in ("prior", "prior_override"):
+            value = getattr(self, field)
+            if isinstance(value, np.generic):
+                object.__setattr__(self, field, value.item())
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}")
         for field in ("n", "m", "seed"):
@@ -396,7 +404,7 @@ def check_diversity(
     The left side counts samples usable at half the current per-user maximum
     (each user capped at M_t/2); the right side is the supply the private
     priors need at that scale.  This recounts from the per-user counts; an
-    estimator keeps the same quantity incrementally in its ``CappedSupply``.
+    estimator keeps the same quantity incrementally, as ``_half``.
     """
     if isinstance(counts, UserLedger):
         counts = counts.counts
@@ -408,50 +416,13 @@ def check_diversity(
     return DiversityReport(satisfied=lhs >= rhs, lhs=lhs, rhs=rhs, max_count=max_count)
 
 
-class CappedSupply:
-    """Users with at least k samples, plus the two running capped sums,
-    sum_u min(c_u, cap), that ``step`` reads.
-
-    ``at_least[k]`` = A(k), the number of users that hold k or more samples,
-    k = 1..m (slot 0 is unused and slot m + 1 stays 0).  A user moving from c
-    to c + 1 samples changes A(c + 1) alone, and sum_u min(c_u, cap) equals
-    sum_{k <= floor(cap)} A(k) + (cap - floor(cap)) * A(floor(cap) + 1).
-
-    ``half`` is the ``div`` flag's sum at cap M_t/2 (None when the flag is
-    not tracked); ``gate`` is ``full``'s sum at the integer cap
-    ``gate_cap``, the lowest waiting level's array size (0: no gate).  A
-    sample gains each sum min(c + 1, cap) - min(c, cap), which is 1, 1/2 or
-    0.  When M_t rises by 1, M_t/2 rises by 1/2 and each user above the old
-    cap, A(floor(M_t/2) + 1) of them, gains 1/2.  So both stay exact in O(1)
-    per sample; ``step`` moves them.  Every sum is a multiple of 1/2 no
-    larger than n * m, so float sums and comparisons are exact.
-    """
-
-    __slots__ = ("at_least", "max_count", "half", "gate", "gate_cap")
-
-    def __init__(self, m: int, track_half: bool):
-        self.at_least = [0] * (m + 2)
-        self.max_count = 0
-        self.half = 0.0 if track_half else None
-        self.gate = 0
-        self.gate_cap = 0
-
-    def capped_sum(self, cap: float) -> float:
-        """sum_u min(c_u, cap), recounted from ``at_least`` in O(min(cap, M))."""
-        whole = min(int(cap), self.max_count)  # A(k) = 0 above max_count
-        at_least = self.at_least
-        return sum(at_least[1 : whole + 1]) + (cap - whole) * at_least[whole + 1]
-
-    def copy(self) -> CappedSupply:
-        """An independent twin."""
-        cls = type(self)
-        twin = cls.__new__(cls)
-        twin.at_least = self.at_least[:]
-        twin.max_count = self.max_count
-        twin.half = self.half
-        twin.gate = self.gate
-        twin.gate_cap = self.gate_cap
-        return twin
+def _capped_sum(at_least: list[int], max_count: int, cap: float) -> float:
+    """sum_u min(c_u, cap), recounted in O(min(cap, M_t)) from ``at_least``,
+    where ``at_least[k]`` = A(k) is the number of users that hold k or more
+    samples: the sum is sum_{k <= floor(cap)} A(k) + (cap - floor(cap)) *
+    A(floor(cap) + 1)."""
+    whole = min(int(cap), max_count)  # A(k) = 0 above M_t
+    return sum(at_least[1 : whole + 1]) + (cap - whole) * at_least[whole + 1]
 
 
 # --------------------------------------------------------------------------
@@ -501,8 +472,9 @@ class _EstimatorBase:
     The counters and the budget ledger are built from one privacy table, so
     each counter's noise scale and its ledger share come from the same row.
     Per-user counts live in ``counts`` (users seen so far only) and, as
-    counts of users with at least k samples plus capped sums, in
-    ``supply``; a ``step`` costs O(1) in n.
+    counts of users with at least k samples plus capped sums, in the supply
+    fields beside the thresholds they are compared with; a ``step`` costs
+    O(1) in n.
 
     The published estimate is state too.  ``_release`` is the one place a
     counter's noisy sum and the denominator ``total`` change, so it sets
@@ -512,8 +484,18 @@ class _EstimatorBase:
 
     An instance owns all of its state and is single-threaded; independent
     instances (e.g. Monte-Carlo trials) never interact and may run on
-    separate threads.
+    separate threads.  Its attributes are fixed by ``__slots__``, so no
+    instance has a ``__dict__`` however much state it holds: CPython 3.11
+    keeps at most 29 attributes inline, and an instance that falls back to
+    a dict slows every attribute load in ``step``.
     """
+
+    __slots__ = (
+        "config", "t", "total", "records", "table", "budget", "mechanisms", "_estimate", "_oob",
+        "ledger", "counts", "pending", "_law", "_at_least", "max_count", "_half", "_gate",
+        "_gate_cap", "_last_t", "_diversity_prior", "_diversity_rhs", "_active", "_max_t", "_sums",
+        "_clamps", "buffers", "priors", "_history", "_columns", "_history_cap", "_need",
+    )
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
@@ -550,8 +532,23 @@ class _EstimatorBase:
         self.counts = self.ledger.counts
         self.pending = self.ledger.pending
         self._law = _release_table(self.ledger, m)
+        # the supply: ``_at_least[k]`` = A(k), the number of users that hold
+        # k or more samples, k = 1..m (slot 0 is unused and slot m + 1 stays
+        # 0), M_t, and two capped sums sum_u min(c_u, cap).  ``_half`` is the
+        # div flag's, at cap M_t/2 (None when the flag is not tracked), and
+        # ``_gate`` is ``full``'s, at the integer cap ``_gate_cap``, the
+        # lowest waiting level's array size (0: no gate).  A sample moves
+        # A(c + 1) alone and gains each sum min(c + 1, cap) - min(c, cap),
+        # which is 1, 1/2 or 0; when M_t rises by 1, each user above the old
+        # half cap, A(floor(M_t/2) + 1) of them, gains 1/2.  So ``step``
+        # keeps all exact in O(1) per sample.  Every sum is a multiple of
+        # 1/2 no larger than n * m, so float sums and comparisons are exact
         tracking = config.track_diversity
-        self.supply = CappedSupply(m, tracking)
+        self._at_least = [0] * (m + 2)
+        self.max_count = 0
+        self._half = 0.0 if tracking else None
+        self._gate = 0
+        self._gate_cap = 0
         self._last_t = 0
         # the div flag's threshold, which changes only when M_t rises
         self._diversity_prior = _diversity_prior(m, config.eps, config.delta) if tracking else None
@@ -565,8 +562,7 @@ class _EstimatorBase:
         # each level's counter's noisy sum, or None when one counter takes
         # every level
         self._sums = None if len(self.mechanisms) == 1 else [0.0] * len(self.mechanisms)
-        # replaced, never written into, so a ``copy()`` shares them
-        self._intervals: tuple[TruncationInterval | None, ...] = (None,) * levels
+        # replaced, never written into, so a ``copy()`` shares it
         self._clamps: tuple[tuple[float, float] | None, ...] = (None,) * levels
         if config.prior is not None and not config.clip_disabled:
             prior, n, delta = config.prior, config.n, config.delta
@@ -586,11 +582,11 @@ class _EstimatorBase:
         self._history: list[StreamEvent] = []
         self._columns = None
         self._history_cap = 1 << (levels - 2) if self.buffers else 0
-        # the lowest waiting level's threshold for ``supply.gate``, which
-        # ``supply`` keeps at that level's cap until the last activation
+        # the lowest waiting level's threshold for ``_gate``, which is kept
+        # at that level's cap until the last activation
         self._need = math.inf
         if self.buffers:
-            self.supply.gate_cap, self._need = self._gate_at(2)
+            self._gate_cap, self._need = self._gate_at(2)
 
     def active_levels(self) -> tuple[int, ...] | None:
         return self._active
@@ -648,22 +644,21 @@ class _EstimatorBase:
         self.t += 1
         self._last_t = t
 
-        # move the user from ``count`` samples to ``count + 1`` in ``supply``
-        supply = self.supply
-        at_least = supply.at_least
+        # move the user from ``count`` samples to ``count + 1`` in the supply
+        at_least = self._at_least
         at_least[count + 1] += 1
-        half = supply.half
-        if count < supply.max_count:
+        half = self._half
+        if count < self.max_count:
             if half is not None:
-                cap = supply.max_count / 2
+                cap = self.max_count / 2
                 if count < cap:
-                    supply.half = half = half + (1 if count + 1 <= cap else cap - count)
+                    self._half = half = half + (1 if count + 1 <= cap else cap - count)
         else:
             # M_t rises from count: this user already held the old cap
-            # count/2, so only the cap's rise adds to ``half``
-            supply.max_count = count + 1
+            # count/2, so only the cap's rise adds to ``_half``
+            self.max_count = count + 1
             if half is not None:
-                supply.half = half = half + 0.5 * at_least[count // 2 + 1]
+                self._half = half = half + 0.5 * at_least[count // 2 + 1]
                 self._diversity_rhs = _diversity_rhs(count + 1, self._diversity_prior)
 
         # ``full``'s waiting levels.  Both caps are 0 once no level waits,
@@ -671,18 +666,18 @@ class _EstimatorBase:
         # history's
         if count < self._history_cap:
             self._history.append(event)
-            if count < supply.gate_cap:
-                supply.gate += 1
+            if count < self._gate_cap:
+                self._gate += 1
                 # activation reads the post-increment counts and runs before
                 # this event's own release is routed.  Levels activate in
                 # ascending order: level l+1's capped sum is at most twice
                 # level l's, and its threshold (arrays twice as long, and no
                 # fewer) at least twice level l's, so only the lowest waiting
-                # level, the one ``supply.gate`` sums at, can be next.  The
+                # level, the one ``_gate`` sums at, can be next.  The
                 # gate moves only here and in ``_activate``, so this is the
                 # only place it can reach ``_need``; the last activation sets
                 # ``_need`` to infinity.
-                while supply.gate >= self._need:
+                while self._gate >= self._need:
                     self._activate(next(iter(self.buffers)))
 
         # the ledger's law, as ``ledger.record`` applies it
@@ -707,7 +702,7 @@ class _EstimatorBase:
         record.user = user
         record.estimate = self._estimate
         record.total = self.total
-        record.max_count = supply.max_count
+        record.max_count = self.max_count
         record.active_levels = self._active
         record.flags = _FLAGS[bits]
         if cfg.keep_trace:
@@ -751,10 +746,9 @@ class _EstimatorBase:
     # -- intervals and waiting levels --------------------------------------
 
     def _set_interval(self, level: int, interval: TruncationInterval, block_size: int) -> None:
-        """Set ``level``'s interval and the clamp bounds ``_release`` applies
-        to its blocks of ``block_size`` samples, in new tuples."""
-        intervals, clamps = self._intervals, self._clamps
-        self._intervals = intervals[:level] + (interval,) + intervals[level + 1 :]
+        """Set the clamp bounds ``_release`` applies to ``level``'s blocks of
+        ``block_size`` samples, from the level's interval, in a new tuple."""
+        clamps = self._clamps
         self._clamps = clamps[:level] + (clamp_bounds(interval, block_size),) + clamps[level + 1 :]
 
     @property
@@ -793,12 +787,11 @@ class _EstimatorBase:
         for raw in self.buffers.pop(level):
             self._release(level, raw, size)
         self._active += (level,)
-        supply = self.supply
         if self.buffers:
-            supply.gate_cap, self._need = self._gate_at(next(iter(self.buffers)))
-            supply.gate = supply.capped_sum(supply.gate_cap)
+            self._gate_cap, self._need = self._gate_at(next(iter(self.buffers)))
+            self._gate = _capped_sum(self._at_least, self.max_count, self._gate_cap)
         else:
-            supply.gate_cap = supply.gate = 0
+            self._gate_cap = self._gate = 0
             self._need = math.inf
             self._history = []
             self._columns = None
@@ -814,14 +807,11 @@ class _EstimatorBase:
         Mutable state is copied, the trace records as a new list of the
         same records, and state that is never written into is shared: the
         config, privacy table, release table, budget ledger (only
-        ``__init__`` charges it), and the intervals, clamp bounds, priors and
-        history columns, which ``_set_interval`` and ``_activate`` replace
-        whole.  ``counts`` and ``pending`` alias the twin's ledger.  The
-        twin is built without ``__init__``, so it charges nothing.  It
-        copies the attributes ``__init__`` sets, one by one and in the same
-        order, never through ``__dict__``: on CPython 3.11 an instance whose
-        ``__dict__`` has been materialised loses the inline attribute layout
-        that ``step``'s specialised attribute loads expect.
+        ``__init__`` charges it), and the clamp bounds, priors and history
+        columns, which ``_set_interval`` and ``_activate`` replace whole.
+        ``counts`` and ``pending`` alias the twin's ledger.  The twin is
+        built without ``__init__``, so it charges nothing; it sets every
+        slot, one assignment each, in slot order.
         """
         cls = type(self)
         twin = cls.__new__(cls)
@@ -838,14 +828,17 @@ class _EstimatorBase:
         twin.counts = twin.ledger.counts
         twin.pending = twin.ledger.pending
         twin._law = self._law
-        twin.supply = self.supply.copy()
+        twin._at_least = self._at_least[:]
+        twin.max_count = self.max_count
+        twin._half = self._half
+        twin._gate = self._gate
+        twin._gate_cap = self._gate_cap
         twin._last_t = self._last_t
         twin._diversity_prior = self._diversity_prior
         twin._diversity_rhs = self._diversity_rhs
         twin._active = self._active
         twin._max_t = self._max_t
         twin._sums = None if self._sums is None else self._sums[:]
-        twin._intervals = self._intervals
         twin._clamps = self._clamps
         twin.buffers = {lv: vals[:] for lv, vals in self.buffers.items()}
         twin.priors = self.priors
@@ -863,6 +856,8 @@ class _EstimatorBase:
 class WishfulEstimator(_EstimatorBase):
     """``wishful``: requires user-contiguous arrival, and publishes the
     prior until the first batch completes."""
+
+    __slots__ = ()
 
     def step(self, event: StreamEvent) -> TraceRecord:
         # while a batch is open only its user may arrive; a returning user

@@ -178,7 +178,7 @@ def write_stream(events: list[StreamEvent], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
         for ev in events:
-            writer.writerow([ev.t, ev.user, repr(ev.value)])
+            writer.writerow([ev.t, ev.user, repr(float(ev.value))])
 
 
 def read_stream(path) -> list[StreamEvent]:

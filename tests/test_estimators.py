@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import contmean
 from contmean.estimators import (
     ALGORITHMS,
-    CappedSupply,
     EstimatorConfig,
     OrderingError,
     TraceRecord,
@@ -32,11 +31,14 @@ from contmean.estimators import (
     privacy_table,
     single_noise_scale,
     write_trace,
+    _capped_sum,
+    _EstimatorBase,
+    _wishful_width,
 )
 from contmean.median import MedianRequest, array_size, private_median
 from contmean.noise import spawn_rng
 from contmean.streams import OrderingSpec, StreamEvent, generate
-from contmean.truncate import TruncationInterval, clamp_bounds, project
+from contmean.truncate import TruncationInterval, clamp_bounds, interval_full, interval_single, project, top_level
 from contmean.withhold import SampleLedger, UserLedger
 from oracles import activation_threshold, noiseless_estimates, partial_sums, reference_trace_csv
 from test_golden import SETTINGS as GOLDEN_SETTINGS
@@ -108,7 +110,7 @@ class TestConfigValidation:
          ("seed", 1.5), ("seed", True)],
     )
     def test_non_integer_rejected_by_name(self, algorithm, field, value):
-        # m = 4.0 used to die in CappedSupply with a TypeError, and n = 2.5
+        # m = 4.0 used to die in the supply's counts with a TypeError, and n = 2.5
         # or T = 8.5 calibrated the noise to a fractional count
         with pytest.raises(ValueError, match=f"^{field}: "):
             EstimatorConfig(algorithm, eps=1, delta=0.1, **{"n": 2, "m": 4, "T": 8, field: value},
@@ -194,9 +196,9 @@ class TestCallBudget:
     def test_calls_per_step(self, algorithm, users, user, expected):
         est = make_estimator(any_config(algorithm, n=3, m=8, T=24, eps=1.0, delta=0.1, noise_override=0.0))
         est.run(events_of(users, [0.5] * len(users)))
-        max_count = est.supply.max_count
+        max_count = est.max_count
         assert calls_in_step(est, StreamEvent(t=len(users) + 1, user=user, value=0.5)) == expected
-        assert est.supply.max_count == max_count and est.priors == {}
+        assert est.max_count == max_count and est.priors == {}
 
     def test_full_withheld_sample_with_tracked_history(self):
         # a waiting level keeps the history; that costs no call either
@@ -260,22 +262,27 @@ def routed_blocks(est) -> list:
     block sum as hex, block size); an activation's buffered blocks are
     left out."""
     blocks, activating = [], []
-    release, activate = est._release, est._activate
+    # an estimator has no ``__dict__`` to hold spies, so ``est`` moves to a
+    # subclass of its estimator class that spies, with the same slots
+    base = next(cls for cls in type(est).__mro__ if cls.__module__ == "contmean.estimators")
 
-    def spy_release(level, block_sum, block_size):
-        if not activating:
-            assert type(block_sum) is float
-            blocks.append((level, block_sum.hex(), block_size))
-        return release(level, block_sum, block_size)
+    class Spy(base):
+        __slots__ = ()
 
-    def spy_activate(level):
-        activating.append(level)
-        try:
-            activate(level)
-        finally:
-            activating.pop()
+        def _release(self, level, block_sum, block_size):
+            if not activating:
+                assert type(block_sum) is float
+                blocks.append((level, block_sum.hex(), block_size))
+            return base._release(self, level, block_sum, block_size)
 
-    est._release, est._activate = spy_release, spy_activate
+        def _activate(self, level):
+            activating.append(level)
+            try:
+                base._activate(self, level)
+            finally:
+                activating.pop()
+
+    est.__class__ = Spy
     return blocks
 
 
@@ -680,7 +687,7 @@ class TestFullHistory:
 
 
 class TestFullGates:
-    """``full``'s ``supply`` keeps one capped sum, at the lowest inactive
+    """``full`` keeps one capped sum, ``_gate``, at the lowest inactive
     level's array size, against that level's activation threshold, and
     none (cap 0) once every level is active.  ``single`` and ``multi``
     share its class and never hold a gate, a buffer or history."""
@@ -691,22 +698,21 @@ class TestFullGates:
         n, m, eps, delta = 300, 16, 50.0, 0.5
         events = generate(0.5, n, m, 200, OrderingSpec(ordering), seed=1)
         est = make_estimator(any_config(algorithm, n=n, m=m, T=len(events), eps=eps, delta=delta, seed=1))
-        supply = est.supply
         for ev in events:
             est.step(ev)
-            gated = supply.gate_cap != 0
+            gated = est._gate_cap != 0
             assert gated == bool(est.buffers)
             if gated:
                 level = min(est.buffers)
-                assert supply.gate_cap == 1 << (level - 1)  # that level's median array size
+                assert est._gate_cap == 1 << (level - 1)  # that level's median array size
                 assert est._need == activation_threshold(level, m, eps, delta)  # and its threshold
-                assert supply.gate == supply.capped_sum(supply.gate_cap)
+                assert est._gate == _capped_sum(est._at_least, est.max_count, est._gate_cap)
             else:
-                assert est._need == math.inf and supply.gate == 0
-            assert (supply.half is not None) == est.config.track_diversity
+                assert est._need == math.inf and est._gate == 0
+            assert (est._half is not None) == est.config.track_diversity
             if algorithm != "full":
                 assert not gated and est.buffers == {} and est._history == [] and est.inactive == set()
-        assert supply.gate_cap == 0
+        assert est._gate_cap == 0
         assert sorted(est.priors) == ([2, 3, 4] if algorithm == "full" else [])
 
 
@@ -753,6 +759,10 @@ def _activating_supply_case(ordering):
     return config, generate(0.5, n, m, 120, OrderingSpec(ordering), seed=1), [8.5, 0, 40.0]
 
 
+# the estimator's supply fields: user counts A(k), M_t and the capped sums
+SUPPLY_FIELDS = ("_at_least", "max_count", "_half", "_gate", "_gate_cap")
+
+
 class TestCappedSupply:
     """``step`` keeps ``half``, ``gate`` and ``max_count`` equal to their
     definitions, counted user by user after every sample, and so does every
@@ -769,28 +779,28 @@ class TestCappedSupply:
         m = config.m
         est = make_estimator(config)
         bare = make_estimator(dataclasses.replace(config, track_diversity=False))
-        supply, counts = est.supply, est.counts
+        counts = est.counts
 
         def capped(cap):
             return sum(min(c, cap) for c in counts.values())
 
         recaps = 0
         for ev in events:
-            gate_cap = supply.gate_cap
+            gate_cap = est._gate_cap
             est.step(ev)
             bare.step(ev)
-            recaps += supply.gate_cap != gate_cap
+            recaps += est._gate_cap != gate_cap
             max_count = max(counts.values())
-            assert supply.max_count == max_count
-            assert supply.half == capped(max_count / 2)
-            assert supply.gate == capped(supply.gate_cap)
-            for cap in [max_count / 2, supply.gate_cap] + probes:
-                assert supply.capped_sum(cap) == capped(cap)
-            assert supply.at_least[1:] == [sum(c >= k for c in counts.values()) for k in range(1, m + 2)]
+            assert est.max_count == max_count
+            assert est._half == capped(max_count / 2)
+            assert est._gate == capped(est._gate_cap)
+            for cap in [max_count / 2, est._gate_cap] + probes:
+                assert _capped_sum(est._at_least, est.max_count, cap) == capped(cap)
+            assert est._at_least[1:] == [sum(c >= k for c in counts.values()) for k in range(1, m + 2)]
             # without the flag's sum, the supply is the same in all else
-            assert bare.supply.half is None
-            assert [getattr(bare.supply, f) for f in CappedSupply.__slots__ if f != "half"] == [
-                getattr(supply, f) for f in CappedSupply.__slots__ if f != "half"
+            assert bare._half is None
+            assert [getattr(bare, f) for f in SUPPLY_FIELDS if f != "_half"] == [
+                getattr(est, f) for f in SUPPLY_FIELDS if f != "_half"
             ]
         # an activation re-caps the gate, at most once per level
         assert (recaps > 0) == bool(est.priors) and recaps <= len(est.priors)
@@ -812,13 +822,33 @@ def clamping_estimators() -> tuple:
     return tuple(ests)
 
 
+def level_intervals(est) -> list:
+    """Each level's (interval, block size), recomputed from the config and
+    ``full``'s median priors, or None where the level clamps nothing."""
+    cfg = est.config
+    m, n, delta = cfg.m, cfg.n, cfg.delta
+    if cfg.algorithm == "wishful":
+        return [(TruncationInterval(center=m * cfg.prior, half_width=_wishful_width(m, n, delta), level=0), m)]
+    intervals = [None] * (top_level(m) + 1)
+    for lv in range(1, len(intervals)):
+        if cfg.algorithm == "full":
+            if lv in est.priors:
+                intervals[lv] = interval_full(est.priors[lv], lv, n, m, cfg.eps, delta), array_size(lv)
+        else:
+            intervals[lv] = interval_single(cfg.prior, lv, m, n, delta), array_size(lv)
+    return intervals
+
+
 class TestClampBounds:
     """The bounds ``_release`` clamps a block with are those ``project``
     intersects the level's interval with: the same result, bit for bit."""
 
     def test_every_family_has_intervals(self):
-        levels = {est.config.algorithm: [lv for lv, iv in enumerate(est._intervals) if iv] for est in clamping_estimators()}
+        levels = {est.config.algorithm: [lv for lv, b in enumerate(est._clamps) if b] for est in clamping_estimators()}
         assert levels == {"wishful": [0], "single": [1, 2, 3, 4], "multi": [1, 2, 3, 4], "full": [2, 3, 4]}
+        for est in clamping_estimators():
+            expected = [iv and clamp_bounds(*iv) for iv in level_intervals(est)]
+            assert list(est._clamps) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(
@@ -826,11 +856,11 @@ class TestClampBounds:
     ))
     def test_bounds_give_project(self, s):
         for est in clamping_estimators():
-            for level, (interval, bounds) in enumerate(zip(est._intervals, est._clamps)):
-                if interval is None:
+            for sized, bounds in zip(level_intervals(est), est._clamps):
+                if sized is None:
                     assert bounds is None
                     continue
-                size = est.config.m if est.config.algorithm == "wishful" else array_size(level)
+                interval, size = sized
                 lo, hi = bounds
                 assert min(max(s, lo), hi).hex() == project(interval, s, size).hex()
 
@@ -911,8 +941,8 @@ def estimator_state(est) -> str:
     return repr((
         est.t, est.total, est.records, est.counts, est.budget.entries, est.active_levels(),
         [(partial_sums(mech), mech.sum()) for mech in est.mechanisms],
-        [getattr(est.supply, f) for f in CappedSupply.__slots__],
-        getattr(est, "ledger", None) and est.ledger.pending, getattr(est, "_intervals", None),
+        [getattr(est, f) for f in SUPPLY_FIELDS],
+        getattr(est, "ledger", None) and est.ledger.pending, getattr(est, "_clamps", None),
         getattr(est, "priors", None), getattr(est, "buffers", None), getattr(est, "_history", None),
     ))
 
@@ -961,12 +991,12 @@ class TestCopy:
         at_cut = estimator_state(est)
         twin = est.copy()
         # an attribute that copy() misses shows here
-        pairs = [(twin, est), (twin.supply, est.supply), *zip(twin.mechanisms, est.mechanisms)]
+        pairs = list(zip(twin.mechanisms, est.mechanisms))
         if hasattr(est, "ledger"):
             pairs.append((twin.ledger, est.ledger))
         for a, b in pairs:
             assert set_fields(a) == set_fields(b)
-        assert set_fields(est.supply) == list(CappedSupply.__slots__)
+        assert set_fields(twin) == set_fields(est) == list(_EstimatorBase.__slots__)
         assert estimator_state(twin) == at_cut
         twin.run(events[cut:])
         assert estimator_state(est) == at_cut
@@ -974,6 +1004,15 @@ class TestCopy:
         est.run(events[cut:])
         assert estimator_state(est) == estimator_state(whole)
         assert estimator_state(twin) == estimator_state(whole)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_no_instance_dict(self, algorithm):
+        # ``__slots__`` keeps every attribute out of a ``__dict__``, in a
+        # run's estimator and in its twin
+        config, events = tuple_case(algorithm)
+        est = make_estimator(config)
+        est.run(events)
+        assert not hasattr(est, "__dict__") and not hasattr(est.copy(), "__dict__")
 
 
 class TestCopyBeforeDraws:
@@ -1121,9 +1160,9 @@ class TestDiversity:
             rec = est.step(ev)
             assert ("div" in rec.flags) == recount.satisfied
             assert est.diversity() == recount
-            assert (est.supply.half, est._diversity_rhs) == (recount.lhs, recount.rhs)
+            assert (est._half, est._diversity_rhs) == (recount.lhs, recount.rhs)
             flags.append(recount.satisfied)
-        assert est.supply.max_count == m
+        assert est.max_count == m
         assert 0 < sum(flags) < len(flags) and flags[-1] is False
 
     @pytest.mark.parametrize("algorithm", ["naive", "single", "multi", "full"])
@@ -1135,10 +1174,13 @@ class TestDiversity:
         events = generate(0.5, n, m, 400, OrderingSpec("single_user_prefix"), seed=1)
         est = make_estimator(any_config(algorithm, n=n, m=m, T=len(events), eps=50.0, delta=0.5, seed=1))
         recounts = []
-        recount = CappedSupply.capped_sum
-        monkeypatch.setattr(CappedSupply, "capped_sum", lambda supply, cap: recounts.append(cap) or recount(supply, cap))
+        recount = contmean.estimators._capped_sum
+        monkeypatch.setattr(
+            contmean.estimators, "_capped_sum",
+            lambda at_least, max_count, cap: recounts.append(cap) or recount(at_least, max_count, cap),
+        )
         est.run(events)
-        assert est.supply.max_count == m
+        assert est.max_count == m
         activations = len(getattr(est, "priors", ()))
         assert len(recounts) == (activations - 1 if activations else 0)
         if algorithm == "full":
@@ -1298,7 +1340,7 @@ class TestRejectedEvents:
         with pytest.raises(ValueError, match="longer than configured T"):
             est.step(StreamEvent(t=4, user=2, value=1.0))
         assert (est.t, est.counts, est.total) == (twin.t, twin.counts, twin.total)
-        assert est.supply.at_least == twin.supply.at_least and est.diversity() == twin.diversity()
+        assert est._at_least == twin._at_least and est.diversity() == twin.diversity()
         assert partial_sums(est.mechanisms[0]) == partial_sums(twin.mechanisms[0])
 
 

@@ -7,6 +7,7 @@ import math
 import random
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -262,9 +263,9 @@ class TestChunkedTraces:
 
         def stepping_to_first_record(config):
             # the baseline: every step returns the trial's first record, so
-            # however many a run holds, they take no memory
-            est = make_estimator(config)
-            step, first = est.step, []
+            # however many a run holds, they take no memory.  ``run`` reads
+            # only ``step`` of an estimator
+            step, first = make_estimator(config).step, []
 
             def step_to_first(event):
                 record = step(event)
@@ -272,8 +273,7 @@ class TestChunkedTraces:
                     first.append(record)
                 return first[0]
 
-            est.step = step_to_first
-            return est
+            return SimpleNamespace(step=step_to_first)
 
         def peak(out_dir, write_traces):
             tracemalloc.start()
@@ -297,6 +297,7 @@ class TestChunkedTraces:
         built = []
 
         def make_failing(config):
+            # ``run`` reads only ``step`` of an estimator
             est = make_estimator(config)
             built.append(est)
             if len(built) == 2:
@@ -307,7 +308,7 @@ class TestChunkedTraces:
                         raise RuntimeError("step failed")
                     return step(event)
 
-                est.step = step_until_eight
+                return SimpleNamespace(step=step_until_eight)
             return est
 
         monkeypatch.setattr(harness, "make_estimator", make_failing)
@@ -358,6 +359,23 @@ class TestSweep:
         results = sweep(base, {"eps": [0.5, 2.0, 8.0]})
         finals = [summary.median_abs_error[-1] for _, summary in results]
         assert finals[0] > finals[1] > finals[2]
+
+    @pytest.mark.parametrize("numpy_priors, priors", [
+        (np.linspace(0.25, 0.75, 2), [0.25, 0.75]),
+        (np.array([0, 1]), [0, 1]),
+    ])
+    def test_numpy_prior_traces_as_python_number(self, tmp_path, numpy_priors, priors):
+        # an np.float64 prior used to be published, and written, as
+        # ``np.float64(0.25)``; an int prior is still published as given
+        base = dataclasses.replace(
+            spec_for("wishful", trials=1, checkpoints=(4, 16)), ordering=OrderingSpec("contiguous")
+        )
+        sweep(base, {"prior": numpy_priors}, tmp_path / "numpy", write_traces=True)
+        sweep(base, {"prior": priors}, tmp_path / "python", write_traces=True)
+        traces = sorted((tmp_path / "numpy").glob("point_*/trace_*.csv"))
+        assert len(traces) == 2
+        for path in traces:
+            assert path.read_bytes() == (tmp_path / "python" / path.relative_to(tmp_path / "numpy")).read_bytes()
 
     def test_combined_csv_layout(self, tmp_path):
         base = spec_for("naive", trials=1, checkpoints=(4,))

@@ -206,6 +206,16 @@ class TestSerialization:
         write_stream(events, path)
         assert read_stream(path) == events
 
+    def test_numpy_values_round_trip(self, tmp_path):
+        # an np.float64 value used to be written as ``np.float64(0.5)``,
+        # which ``read_stream`` rejects
+        values = np.linspace(0.0, 1.0, 7)
+        path = tmp_path / "s.csv"
+        write_stream([StreamEvent(t, 1, v) for t, v in enumerate(values, start=1)], path)
+        events = read_stream(path)
+        assert events == [StreamEvent(t, 1, float(v)) for t, v in enumerate(values, start=1)]
+        assert {type(ev.value) for ev in events} == {float}
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
