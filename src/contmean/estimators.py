@@ -453,10 +453,10 @@ class _EstimatorBase:
     - ``ledger``'s release law (``withhold``): every sample at once
       (``naive``), a user's m samples as one batch (``wishful``), or dyadic
       blocks (``single``, ``multi``, ``full``).  ``_law`` tabulates it per
-      count, and ``step`` applies the table itself, as ``ledger.record``
-      would: a withheld sample joins its user's sum in ``pending``, and a
-      release pops that sum into ``_release``, or, for a block of one
-      sample, passes the sample itself.
+      count, and ``step`` applies the table itself, as
+      ``ledger.on_sample`` would: a withheld sample joins its user's sum in
+      ``pending``, and a release pops that sum into ``_release``, or, for a
+      block of one sample, passes the sample itself.
     - The privacy table, hence the counters: one that every release level
       feeds (``naive``, ``wishful``, ``single``), or one per level
       (``multi``, ``full``), whose noisy sums ``_sums`` keeps.
@@ -567,7 +567,7 @@ class _EstimatorBase:
         if config.prior is not None and not config.clip_disabled:
             prior, n, delta = config.prior, config.n, config.delta
             if one_level:
-                batch = TruncationInterval(center=m * prior, half_width=_wishful_width(m, n, delta), level=0)
+                batch = TruncationInterval(center=m * prior, half_width=_wishful_width(m, n, delta))
                 self._set_interval(0, batch, m)
             for lv in range(1, levels):
                 self._set_interval(lv, interval_single(prior, lv, m, n, delta), array_size(lv))
@@ -680,7 +680,7 @@ class _EstimatorBase:
                 while self._gate >= self._need:
                     self._activate(next(iter(self.buffers)))
 
-        # the ledger's law, as ``ledger.record`` applies it
+        # the ledger's law, as ``ledger.on_sample`` applies it
         self.counts[user] = count + 1
         released = self._law[count + 1]
         if released is None:

@@ -16,9 +16,10 @@ compares the realized change in the stored partial sums against the bound
 that calibrates the Laplace noise.  The neighbors are replayed along their
 shared prefixes: a replay branches into an estimator ``copy()`` at each of
 the changed user's samples, so an event is stepped once per branch it lies
-on, not once per neighbor.  A walk starts from a copy of one cached
-estimator per audited config, built at the config's first audit, and the
-config's counter bounds are cached too.  An audit's runs form one float64
+on, not once per neighbor.  An audit's one set-up is ``_audit_root``,
+cached per audited config: the noiseless estimator every walk copies, built
+at the config's first audit, and its counters' bounds, read from that
+estimator's privacy table.  An audit's runs form one float64
 matrix, a row per run holding every counter's partial sums side by side,
 and its pairs of runs are compared a tile at a time: a block of left runs
 against a block of right runs, their differences one broadcast subtraction
@@ -40,7 +41,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from contmean.estimators import EstimatorConfig, _trace_file, _trace_lines, make_estimator, privacy_table
+from contmean.estimators import EstimatorConfig, _trace_file, _trace_lines, make_estimator
 from contmean.streams import OrderingSpec, StreamEvent, _require_int, generate
 
 __all__ = [
@@ -56,7 +57,6 @@ __all__ = [
 
 SUMMARY_HEADER = ["t", "median_abs_error", "q10_abs_error", "q90_abs_error"]
 
-_AUDITABLE = ("naive", "single", "multi", "full")
 _GRID_LIMIT = 12  # 2^12 estimator replays is the most an audit will attempt
 _BLOCK_ENTRIES = 1 << 16  # the most pair differences held at once, over all counters
 _TRACE_CHUNK = 4096  # the most step records a trial holds at once
@@ -267,26 +267,25 @@ class AuditReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _audit_config(config: EstimatorConfig) -> EstimatorConfig:
-    if config.algorithm not in _AUDITABLE:
-        raise ValueError(f"audits cover {_AUDITABLE}, not {config.algorithm!r}")
+def _audit_root(config: EstimatorConfig):
+    """The one set-up of every audit of ``config``: the estimator each
+    replay starts from, as a ``copy()``, and each counter's ``(label,
+    entry_count_bound, l1_bound)`` from its privacy-table row.
+
+    The root runs ``config`` without noise, trace or div flag, and with
+    ``full``'s level priors pinned at 0.5 unless the caller pinned them, so
+    that neighbor runs share projections; the calibration bound holds for
+    any fixed priors.  It is never stepped itself.  Its counters store
+    every partial sum, the nodes an audit compares, and so do their copies.
+    """
     updates: dict = {"noise_override": 0.0, "keep_trace": False, "track_diversity": False}
     if config.algorithm == "full" and config.prior_override is None:
-        # pins every level prior so both neighbor runs share projections;
-        # the calibration bound holds for any fixed priors
         updates["prior_override"] = 0.5
-    return dataclasses.replace(config, **updates)
-
-
-@functools.lru_cache(maxsize=64)
-def _audit_root(config: EstimatorConfig):
-    """The estimator every replay of an audited ``config`` starts from, as
-    a ``copy()``; it is never stepped itself.  Its counters store every
-    partial sum, the nodes an audit compares, and so do their copies."""
-    root = make_estimator(config)
+    root = make_estimator(dataclasses.replace(config, **updates))
     for mech in root.mechanisms:
         mech.store_nodes()
-    return root
+    bounds = tuple((row.counter, row.entries, row.sensitivity) for row in root.table if row.counter is not None)
+    return root, bounds
 
 
 def _check_layout(widths: list[int], other: list[int], count: int) -> None:
@@ -297,13 +296,6 @@ def _check_layout(widths: list[int], other: list[int], count: int) -> None:
         raise AssertionError("partial-sum layout changed between neighbor runs")
 
 
-@functools.lru_cache(maxsize=64)
-def _per_mechanism_bounds(config: EstimatorConfig) -> tuple[tuple[str, float, float], ...]:
-    """(label, entry_count_bound, l1_bound) per mechanism, from its privacy-table row."""
-    table = privacy_table(config)
-    return tuple((row.counter, row.entries, row.sensitivity) for row in table if row.counter is not None)
-
-
 class _Runs(NamedTuple):
     """Neighbor runs side by side: row r holds run r's counters' partial
     sums, counter i in the ``widths[i]`` columns after counters 0..i-1."""
@@ -312,16 +304,13 @@ class _Runs(NamedTuple):
     widths: list[int]
 
 
-def _value_grid_runs(
-    config: EstimatorConfig, events: list[StreamEvent], positions: list[int]
-) -> _Runs:
-    """Replay ``events`` noiselessly through ``step`` under every {0,1}
-    assignment of the given positions; row ``mask`` holds the assignment
-    that sets position j to bit j of ``mask``.
+def _value_grid_runs(root, events: list, positions: list[int]) -> _Runs:
+    """Replay ``events`` through ``step`` from copies of the audit root
+    ``root`` under every {0,1} assignment of the given positions; row
+    ``mask`` holds the assignment that sets position j to bit j of ``mask``.
 
     Assignments that agree on the first j positions share their state up
-    to position j + 1, so the replays walk a binary tree depth first, from
-    a copy of the config's cached root estimator: the
+    to position j + 1, so the replays walk a binary tree depth first: the
     events before the next position are stepped once per node, and at the
     position the estimator branches into a ``copy()`` that takes 1.0 while
     the original takes 0.0.  An event is stepped 2^c times, c the number of
@@ -329,10 +318,6 @@ def _value_grid_runs(
     appends its counters' partial sums to one buffer, viewed as the matrix
     once the walk is done.
     """
-    if len(positions) > _GRID_LIMIT:
-        raise ValueError(
-            f"value grid over {len(positions)} samples is too large to enumerate"
-        )
     k = len(positions)
     # the events between positions, and each position's two values
     starts = [0, *(p + 1 for p in positions)]
@@ -368,7 +353,7 @@ def _value_grid_runs(
         twin.step(one)
         walk(twin, depth + 1, mask | (1 << depth))
 
-    walk(_audit_root(config).copy(), 0, 0)
+    walk(root.copy(), 0, 0)
     walked = np.frombuffer(buffer).reshape(len(masks), sum(widths))
     sums = np.empty_like(walked)
     sums[masks] = walked
@@ -376,8 +361,9 @@ def _value_grid_runs(
 
 
 def _diff_report(
-    config: EstimatorConfig,
+    algorithm: str,
     changed_user: int,
+    bounds: tuple[tuple[str, float, float], ...],
     left: _Runs,
     right: _Runs,
     upper: bool,
@@ -385,8 +371,8 @@ def _diff_report(
     """Worst disturbance over the pairs of a left row i and a right row j
     (only j > i when ``upper``, for left and right the same runs): per
     counter the most entries moved by more than 1e-9 and the largest l1
-    shift, plus the largest shift summed over counters."""
-    bounds = _per_mechanism_bounds(config)
+    shift, plus the largest shift summed over counters, against each
+    counter's ``bounds`` from ``_audit_root``."""
     n_mech = len(bounds)
     widths = left.widths
     _check_layout(widths, right.widths, n_mech)
@@ -446,7 +432,7 @@ def _diff_report(
     )
     total_bound = sum(b.l1_bound for b in mech_reports)
     return AuditReport(
-        algorithm=config.algorithm,
+        algorithm=algorithm,
         changed_user=changed_user,
         mechanisms=mech_reports,
         changed_partial_sum_count=sum(r.changed_entries for r in mech_reports),
@@ -456,12 +442,19 @@ def _diff_report(
     )
 
 
-def _check_changed_user(config: EstimatorConfig, changed_user: int) -> None:
-    """Refuse a changed user that no stream of ``config`` can hold: an audit
-    of one would compare runs that never differ and pass."""
+def _grid_positions(config: EstimatorConfig, events: list, changed_user: int) -> list[int]:
+    """The indices of ``changed_user``'s events, each a 3-tuple ``(t, user,
+    value)`` read by position, as ``step`` reads it.  Refuses a changed user
+    that no stream of ``config`` can hold (an audit of one would compare
+    runs that never differ and pass), then a grid over more than
+    ``_GRID_LIMIT`` samples, both before any construction."""
     _require_int("changed_user", changed_user)
     if not 1 <= changed_user <= config.n:
         raise ValueError(f"changed_user {changed_user} outside [1, {config.n}]")
+    positions = [i for i, ev in enumerate(events) if ev[1] == changed_user]
+    if len(positions) > _GRID_LIMIT:
+        raise ValueError(f"value grid over {len(positions)} samples is too large to enumerate")
+    return positions
 
 
 def audit_sensitivity(
@@ -471,16 +464,15 @@ def audit_sensitivity(
 
     Runs are noiseless, so partial-sum differences reflect pure data
     sensitivity; contributions of unchanged users cancel exactly in each
-    difference.
+    difference.  An event is any 3-tuple ``(t, user, value)``, as for
+    ``step``.
     """
-    config = _audit_config(config)
-    _check_changed_user(config, changed_user)
     events = list(base_stream)
-    positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
-    # the grid runs first: it refuses an oversized grid before any replay
-    variants = _value_grid_runs(config, events, positions)
-    base = _value_grid_runs(config, events, [])
-    return _diff_report(config, changed_user, base, variants, upper=False)
+    positions = _grid_positions(config, events, changed_user)
+    root, bounds = _audit_root(config)
+    variants = _value_grid_runs(root, events, positions)
+    base = _value_grid_runs(root, events, [])
+    return _diff_report(config.algorithm, changed_user, bounds, base, variants, upper=False)
 
 
 def audit_value_grid(
@@ -492,11 +484,10 @@ def audit_value_grid(
     changed user's positions; other users' values are irrelevant to the
     difference (they cancel), so they are fixed at zero.
     """
-    config = _audit_config(config)
-    _check_changed_user(config, changed_user)
     events = [StreamEvent(t, u, 0.0) for t, u in enumerate(users, start=1)]
-    positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
-    variants = _value_grid_runs(config, events, positions)
+    positions = _grid_positions(config, events, changed_user)
+    root, bounds = _audit_root(config)
+    variants = _value_grid_runs(root, events, positions)
     # every i < j; a user without samples has one variant and no pair,
     # which reports no change
-    return _diff_report(config, changed_user, variants, variants, upper=True)
+    return _diff_report(config.algorithm, changed_user, bounds, variants, variants, upper=True)

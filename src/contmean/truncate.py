@@ -31,7 +31,6 @@ class TruncationInterval:
 
     center: float
     half_width: float
-    level: int
 
     def __post_init__(self):
         if self.half_width < 0:
@@ -67,7 +66,7 @@ def interval_single(prior: float, level: int, m: int, n: int, delta: float) -> T
     size = 2.0 ** (level - 1)
     width = math.sqrt((size / 2.0) * math.log(2.0 * n * math.log2(m) / delta))
     width += size / math.sqrt(m)
-    return TruncationInterval(center=size * prior, half_width=width, level=level)
+    return TruncationInterval(center=size * prior, half_width=width)
 
 
 def top_level(m: int) -> int:
@@ -105,7 +104,7 @@ def interval_full(
     k = prior_array_count(eps / split, level, beta)
     width = math.sqrt((size / 2.0) * math.log(2.0 * n * math.log2(m) / (delta / 3.0)))
     width += math.sqrt(2.0**level * math.log(2.0 * k / beta))
-    return TruncationInterval(center=size * prior_ell, half_width=width, level=level)
+    return TruncationInterval(center=size * prior_ell, half_width=width)
 
 
 def clamp_bounds(interval: TruncationInterval, block_size: int) -> tuple[float, float]:

@@ -13,8 +13,8 @@ samples seen have been released, whatever the user ordering.
 ``BatchLedger`` (``wishful``) withholds each user's samples until all m have
 arrived and releases them as one block.  Each law is stated once, as
 ``releases(count)``: what a user's new count releases, ``(level,
-block_size)``, or None.  One ``record`` applies the law for all three,
-and an estimator's ``step`` applies the same law from a table of
+block_size)``, or None.  One ``on_sample`` applies the law for all
+three, and an estimator's ``step`` applies the same law from a table of
 ``releases`` (``estimators._release_table``).  Beyond ``releases``, the
 three differ only in ``pending_count``, which counts what each law
 withholds; the batch law also refuses a user's (m+1)-th sample.
@@ -27,26 +27,8 @@ from the count.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
-__all__ = ["BatchLedger", "ReleaseDecision", "SampleLedger", "UserLedger"]
-
-
-class ReleaseDecision(NamedTuple):
-    """Outcome of one arriving sample: withhold, or release a dyadic block.
-
-    On a release at level ``level`` the block covers ``block_size`` =
-    2^max(level-1, 0) samples and ``block_sum`` is their raw (untruncated)
-    sum.  On a withhold both are None.
-    """
-
-    released: bool
-    level: int | None = None
-    block_sum: float | None = None
-    block_size: int | None = None
-
-
-_WITHHOLD = ReleaseDecision(released=False)
+__all__ = ["BatchLedger", "SampleLedger", "UserLedger"]
 
 
 class UserLedger:
@@ -66,28 +48,22 @@ class UserLedger:
             return None
         return count.bit_length() - 1, max(count >> 1, 1)
 
-    def on_sample(self, user_id: int, value: float) -> ReleaseDecision:
-        """Record one sample under this ledger's law (``record``)."""
+    def on_sample(self, user_id: int, value: float) -> tuple[int, float, int] | None:
+        """Record one sample of a user; return ``(level, block_sum,
+        block_size)`` when the user's new count releases under
+        ``releases``, else None.
+
+        A block of ``block_size`` samples sums them in arrival order,
+        ((0.0 + v1) + v2) + ..., one running sum per user; values on a
+        dyadic grid sum exactly, and a block of one is the sample itself.
+        ``step`` applies the same law inline.
+        """
         if not math.isfinite(value):
             raise ValueError(f"sample value must be finite, got {value}")
         # running sums stay Python floats: a float32 sample would make its
         # user's a float32
-        released = self.record(user_id, float(value), self.counts.get(user_id, 0))
-        return _WITHHOLD if released is None else ReleaseDecision(True, *released)
-
-    def record(self, user_id: int, value: float, count: int) -> tuple[int, float, int] | None:
-        """Record a finite sample of a user that held ``count`` samples
-        before it; return ``(level, block_sum, block_size)`` when the new
-        count releases under ``releases``, else None.
-
-        A block sums its samples in arrival order, ((0.0 + v1) + v2) + ...,
-        one running sum per user; values on a dyadic grid sum exactly, and a
-        block of one is the sample itself.
-        ``count`` must equal ``counts.get(user_id, 0)``: the caller has read
-        it, so this reads no count and checks no value.  ``step`` applies
-        the same law inline.
-        """
-        count += 1
+        value = float(value)
+        count = self.counts.get(user_id, 0) + 1
         released = self.releases(count)
         self.counts[user_id] = count
         pending = self.pending
@@ -107,15 +83,12 @@ class UserLedger:
 
     def released_info_count(self) -> int:
         """Number of samples whose information has been released so far."""
-        return self.samples_seen() - self.pending_count()
+        return sum(self.counts.values()) - self.pending_count()
 
     def pending_count(self) -> int:
         """Samples currently withheld across all users: past a user's last
         power of two, c - 2^floor(log2 c) of its c samples."""
         return sum(c - (1 << (c.bit_length() - 1)) for c in self.counts.values())
-
-    def samples_seen(self) -> int:
-        return sum(self.counts.values())
 
 
 class SampleLedger(UserLedger):
@@ -140,7 +113,7 @@ class BatchLedger(UserLedger):
         self.m = m
 
     def releases(self, count: int) -> tuple[int, int] | None:
-        if count > self.m:  # before ``record`` moves any state
+        if count > self.m:  # before ``on_sample`` moves any state
             raise ValueError(f"count {count} exceeds the per-user cap m={self.m}")
         return (0, self.m) if count == self.m else None
 

@@ -8,21 +8,23 @@ package, and adds its running sums over the blocks of ``decompose``.  ``referenc
 through ``csv.writer``.  The ``reference_audit_*`` functions still build
 every variant fresh through ``make_estimator`` and replay it from t = 1, so
 they independently check the auditor's walk from copies of one cached
-estimator; they compare its neighbor runs one numpy pair at a time, in
-``reference_diff_report``.  The ``reference_*`` median functions pack, snap
+estimator; they set up their own noiseless config (``audit_config``) and
+take their bounds from ``privacy_table``, and compare neighbor runs one
+numpy pair at a time, in ``reference_diff_report``.  The ``reference_*`` median functions pack, snap
 and count one array at a time in Python loops, as the package did before
 those steps became whole-array numpy operations.
 """
 
 import csv
+import dataclasses
 import io
 import math
 from array import array
 
 import numpy as np
 
-from contmean.estimators import make_estimator
-from contmean.harness import AuditMechanismReport, AuditReport, _audit_config, _per_mechanism_bounds
+from contmean.estimators import make_estimator, privacy_table
+from contmean.harness import AuditMechanismReport, AuditReport
 from contmean.median import BinGrid, InsufficientDiversityError
 from contmean.noise import exp_mechanism_sample, laplace
 from contmean.streams import StreamEvent
@@ -268,6 +270,15 @@ def reference_trace_csv(records):
     return fh.getvalue().encode()
 
 
+def audit_config(config):
+    """The config an audit replays: no noise, trace or div flag, and
+    ``full``'s level priors pinned at 0.5 unless ``config`` pins them."""
+    updates = {"noise_override": 0.0, "keep_trace": False, "track_diversity": False}
+    if config.algorithm == "full" and config.prior_override is None:
+        updates["prior_override"] = 0.5
+    return dataclasses.replace(config, **updates)
+
+
 def _grid_runs(config, events, positions):
     """Per {0,1} assignment of ``positions``, in mask order, the list of
     each counter's partial sums after a noiseless replay."""
@@ -288,7 +299,7 @@ def _grid_runs(config, events, positions):
 
 def reference_audit_sensitivity(config, base_stream, changed_user):
     """``audit_sensitivity``: the stream against each {0,1} variant."""
-    config = _audit_config(config)
+    config = audit_config(config)
     events = list(base_stream)
     positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
     base = _grid_runs(config, events, [])[0]
@@ -299,7 +310,7 @@ def reference_audit_sensitivity(config, base_stream, changed_user):
 def reference_audit_value_grid(config, users, changed_user):
     """``audit_value_grid``: every variant pair i < j, or the one variant
     against itself."""
-    config = _audit_config(config)
+    config = audit_config(config)
     events = [StreamEvent(t=i + 1, user=u, value=0.0) for i, u in enumerate(users)]
     positions = [i for i, ev in enumerate(events) if ev.user == changed_user]
     variants = _grid_runs(config, events, positions)
@@ -314,8 +325,10 @@ def reference_audit_value_grid(config, users, changed_user):
 
 
 def reference_diff_report(config, changed_user, pairs):
-    """Worst partial-sum disturbance over (left runs, right runs) pairs."""
-    bounds = _per_mechanism_bounds(config)
+    """Worst partial-sum disturbance over (left runs, right runs) pairs,
+    against each counter's row of ``privacy_table``."""
+    rows = [row for row in privacy_table(config) if row.counter is not None]
+    bounds = [(row.counter, row.entries, row.sensitivity) for row in rows]
     n_mech = len(bounds)
     worst_count = [0] * n_mech
     worst_l1 = [0.0] * n_mech

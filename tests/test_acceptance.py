@@ -148,7 +148,7 @@ def _rgs_orderings(max_len: int, max_users: int, cap: int):
         yield from frontier
 
 
-def _audit_configs(n, m, t):
+def _configs_to_audit(n, m, t):
     def mk(algo, **kw):
         return EstimatorConfig(algorithm=algo, n=n, m=m, eps=1.0, delta=0.1, **kw)
 
@@ -168,7 +168,7 @@ class TestCriterion04SensitivityAudits:
 
         def check(users, n, m):
             nonlocal audits
-            for config in _audit_configs(n, m, len(users)):
+            for config in _configs_to_audit(n, m, len(users)):
                 for user in sorted(set(users)):
                     report = audit_value_grid(config, users, user)
                     audits += 1

@@ -18,23 +18,30 @@ from contmean import cli, estimators, harness
 from contmean.cli import build_parser, main
 from contmean.estimators import (
     EstimatorConfig,
+    OrderingError,
     full_noise_scale,
     make_estimator,
     multi_noise_scale,
     naive_noise_scale,
+    privacy_table,
     single_noise_scale,
     wishful_noise_scale,
 )
 from contmean.harness import (
     ExperimentSpec,
-    _per_mechanism_bounds,
     audit_sensitivity,
     audit_value_grid,
     run,
     sweep,
 )
 from contmean.streams import OrderingSpec, StreamEvent, generate, write_stream
-from oracles import partial_sums, reference_audit_sensitivity, reference_audit_value_grid, reference_trace_csv
+from oracles import (
+    audit_config,
+    partial_sums,
+    reference_audit_sensitivity,
+    reference_audit_value_grid,
+    reference_trace_csv,
+)
 
 
 def spec_for(algorithm="naive", *, n=4, m=8, eps=1.0, trials=2, checkpoints=(4, 16), **kw):
@@ -432,12 +439,18 @@ class TestAudit:
         report = audit_value_grid(config, [1, 2, 2, 3, 1, 2, 2, 3, 1, 1], changed_user=2)
         assert report.passed, report
 
-    def test_wishful_not_auditable(self):
+    @pytest.mark.parametrize("algorithm", ["naive", "wishful", "single", "multi", "full"])
+    def test_plain_tuples_audit_as_events(self, algorithm):
+        # an event is read by position, as ``step`` reads it
         config = EstimatorConfig(
-            algorithm="wishful", n=2, m=2, eps=1, delta=0.1, T=4, prior=0.5
+            algorithm=algorithm, n=2, m=2, eps=1.0, delta=0.1,
+            T=3 if algorithm in ("naive", "wishful") else None,
+            prior=0.5 if algorithm in ("wishful", "single", "multi") else None,
         )
-        with pytest.raises(ValueError):
-            audit_sensitivity(config, flip_stream([1, 1, 2, 2], [0.0] * 4), 1)
+        users = [1, 1, 2] if algorithm == "wishful" else [1, 2, 1]
+        events = flip_stream(users, [0.0, 1.0, 1.0])
+        report = audit_sensitivity(config, [tuple(ev) for ev in events], 1)
+        assert repr(report) == repr(audit_sensitivity(config, events, 1))
 
     @pytest.mark.parametrize("changed_user", [7, 0, 1.5, True])
     def test_changed_user_outside_the_stream_refused(self, changed_user, monkeypatch):
@@ -527,6 +540,61 @@ WIDE_NAIVE = _case(
 MANY_COUNTERS = _case(
     "multi", [1, 1, 1, 1, 1, 1, 2, 2, 1, 2, 1] + [2] * 127, 1, [(i * 7 % 11) / 10 for i in range(138)], m=256
 )
+
+
+def contiguous_orderings(n, m):
+    """Every user-contiguous ordering of users 1..n at cap m: distinct
+    users one after another, each giving its m samples together, the last
+    one possibly fewer."""
+    for k in range(1, n + 1):
+        for order in itertools.permutations(range(1, n + 1), k):
+            for last in range(1, m + 1):
+                yield [u for u in order[:-1] for _ in range(m)] + [order[-1]] * last
+
+
+def wishful_config(users, m):
+    return EstimatorConfig(algorithm="wishful", n=3, m=m, eps=1.0, delta=0.1, T=len(users), prior=0.5)
+
+
+class TestWishfulAudit:
+    """``wishful`` is audited like the other four on the arrival order it
+    requires, and refuses any other."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_reports_equal_reference_and_pass(self, m):
+        for users in contiguous_orderings(3, m):
+            config = wishful_config(users, m)
+            events = flip_stream(users, [(i % 3) / 2 for i in range(len(users))])
+            for changed_user in (1, 2, 3):
+                for got, want in [
+                    (audit_value_grid(config, users, changed_user),
+                     reference_audit_value_grid(config, users, changed_user)),
+                    (audit_sensitivity(config, events, changed_user),
+                     reference_audit_sensitivity(config, events, changed_user)),
+                ]:
+                    assert repr(got) == repr(want)
+                    assert got.passed, got
+
+    def test_non_contiguous_ordering_refused(self):
+        users = [1, 2, 1, 2]
+        config = wishful_config(users, 2)
+        with pytest.raises(OrderingError):
+            audit_value_grid(config, users, 1)
+        with pytest.raises(OrderingError):
+            audit_sensitivity(config, flip_stream(users, [0.5] * len(users)), 1)
+
+    def test_cli_audit_exits_zero(self, tmp_path, capsys):
+        users = [2, 2, 2, 1, 1, 1, 3]
+        stream_path = tmp_path / "s.csv"
+        write_stream(flip_stream(users, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0]), stream_path)
+        audit_spec = {
+            "algorithm": "wishful", "n": 3, "m": 3, "eps": 1.0, "delta": 0.1, "T": len(users),
+            "prior": 0.5, "stream": str(stream_path), "changed_user": 1,
+        }
+        spec_path = tmp_path / "audit.json"
+        spec_path.write_text(json.dumps(audit_spec))
+        assert main(["audit", "--spec", str(spec_path)]) == 0
+        assert "passed=True" in capsys.readouterr().out
 
 
 class TestAuditOracle:
@@ -676,16 +744,17 @@ class TestAuditReplays:
         # row ``mask`` holds the replay that gives the changed user's j-th
         # sample bit j of ``mask``, replayed here from t = 1
         config, events, changed = _case(algorithm, [2, 1, 2, 3, 1, 2, 2, 3, 1], 2, m=8)
-        config = harness._audit_config(config)
+        root, _ = harness._audit_root(config)
+        assert root.config == audit_config(config)
         positions = [i for i, ev in enumerate(events) if ev.user == changed]
-        runs = harness._value_grid_runs(config, events, positions)
+        runs = harness._value_grid_runs(root, events, positions)
         assert runs.sums.shape == (1 << len(positions), sum(runs.widths))
         ends = list(itertools.accumulate(runs.widths))
         for mask in range(1 << len(positions)):
             variant = list(events)
             for bit, pos in enumerate(positions):
                 variant[pos] = variant[pos]._replace(value=float((mask >> bit) & 1))
-            est = make_estimator(config)
+            est = make_estimator(root.config)
             for mech in est.mechanisms:
                 mech.store_nodes()  # as the auditor's root does
             est.run(variant)
@@ -740,9 +809,9 @@ class TestAuditReplays:
         for users, changed in audit_grid.grid_orderings(3):
             for config in configs:
                 audit_value_grid(config, users, changed)
-        assert built == [harness._audit_config(config) for config in configs]
-        for config in built:
-            root, fresh = harness._audit_root(config), make(config)
+        assert built == [audit_config(config) for config in configs]
+        for config in configs:
+            (root, _), fresh = harness._audit_root(config), make(audit_config(config))
             assert (root.t, root.counts, root.ledger.pending) == (0, {}, {})
             assert [len(mech) for mech in root.mechanisms] == [0] * len(fresh.mechanisms)
             assert root.budget.entries == fresh.budget.entries
@@ -910,7 +979,7 @@ class TestCli:
         assert "user-contiguous" in capsys.readouterr().err
 
     def test_audit_failure_exit_code_three(self, tmp_path, monkeypatch):
-        # force a failing audit by monkeypatching the bound computation
+        # force a failing audit by sabotaging the bounds of the audit's set-up
         import contmean.harness as harness_mod
 
         stream_path = tmp_path / "s.csv"
@@ -924,12 +993,13 @@ class TestCli:
         spec_path = tmp_path / "audit.json"
         spec_path.write_text(json.dumps(audit_spec))
 
-        real = harness_mod._per_mechanism_bounds
+        real = harness_mod._audit_root
 
         def sabotaged(config):
-            return [(label, -1.0, -1.0) for label, _, _ in real(config)]
+            root, bounds = real(config)
+            return root, tuple((label, -1.0, -1.0) for label, _, _ in bounds)
 
-        monkeypatch.setattr(harness_mod, "_per_mechanism_bounds", sabotaged)
+        monkeypatch.setattr(harness_mod, "_audit_root", sabotaged)
         assert main(["audit", "--spec", str(spec_path)]) == 3
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
@@ -972,10 +1042,10 @@ class TestCalibration:
         )
         est = make_estimator(config)
         shares = [e for label, e in est.budget.entries if label.startswith("mech")]
-        bounds = _per_mechanism_bounds(config)
-        assert len(shares) == len(bounds) == len(est.mechanisms)
-        for mech, share, (label, _, l1) in zip(est.mechanisms, shares, bounds):
-            assert mech.label == label
-            assert mech.eta * share == pytest.approx(l1, rel=1e-12)
+        rows = [row for row in privacy_table(config) if row.counter is not None]
+        assert len(shares) == len(rows) == len(est.mechanisms)
+        for mech, share, row in zip(est.mechanisms, shares, rows):
+            assert mech.label == row.counter
+            assert mech.eta * share == pytest.approx(row.sensitivity, rel=1e-12)
         assert est.budget.spent == pytest.approx(est.budget.total_eps, rel=1e-12)
         assert [mech.eta for mech in est.mechanisms] == self.public_scales(algorithm, n, m, eps, delta, T)

@@ -68,15 +68,15 @@ class TestIntervalFull:
 
 class TestProject:
     def test_interior_is_identity(self):
-        iv = TruncationInterval(center=2.0, half_width=1.0, level=1)
+        iv = TruncationInterval(center=2.0, half_width=1.0)
         assert project(iv, 1.7) == 1.7
 
     def test_clamps_above(self):
-        iv = TruncationInterval(center=2.0, half_width=1.0, level=1)
+        iv = TruncationInterval(center=2.0, half_width=1.0)
         assert project(iv, iv.hi + 5.0) == iv.hi
 
     def test_degenerate_width_returns_center(self):
-        iv = TruncationInterval(center=0.25, half_width=0.0, level=1)
+        iv = TruncationInterval(center=0.25, half_width=0.0)
         for s in (-10.0, 0.0, 0.25, 3.0):
             assert project(iv, s) == 0.25
 
@@ -88,14 +88,14 @@ class TestProject:
     )
     @settings(max_examples=200)
     def test_idempotent_and_one_lipschitz(self, center, width, a, b):
-        iv = TruncationInterval(center=center, half_width=width, level=2)
+        iv = TruncationInterval(center=center, half_width=width)
         pa, pb = project(iv, a), project(iv, b)
         assert project(iv, pa) == pa
         assert abs(pa - pb) <= abs(a - b) + 1e-12
 
     def test_worst_case_spread_is_twice_half_width(self):
         # max |project(a) - project(b)| over a grid hits exactly 2 * width
-        iv = TruncationInterval(center=1.0, half_width=0.75, level=1)
+        iv = TruncationInterval(center=1.0, half_width=0.75)
         grid = np.linspace(-5, 5, 2001)
         projected = np.clip(grid, iv.lo, iv.hi)
         spread = projected.max() - projected.min()
@@ -103,7 +103,7 @@ class TestProject:
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
-            TruncationInterval(center=0.0, half_width=-0.1, level=1)
+            TruncationInterval(center=0.0, half_width=-0.1)
 
 
 class TestNoTruncationFrequency:

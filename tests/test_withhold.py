@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contmean.withhold import _WITHHOLD, BatchLedger, ReleaseDecision, SampleLedger, UserLedger
+from contmean.withhold import BatchLedger, SampleLedger, UserLedger
 
 
 def drive(users, values=None):
@@ -22,31 +22,28 @@ class TestSchedule:
     def test_first_sample_always_releases_level_zero(self):
         for user in (1, 5, 42):
             ledger = UserLedger()
-            d = ledger.on_sample(user, 0.75)
-            assert d.released and d.level == 0 and d.block_sum == 0.75 and d.block_size == 1
+            assert ledger.on_sample(user, 0.75) == (0, 0.75, 1)
 
     def test_third_sample_withholds(self):
         ledger = UserLedger()
         ledger.on_sample(1, 1.0)
         ledger.on_sample(1, 1.0)
-        d = ledger.on_sample(1, 1.0)
-        assert not d.released
+        assert ledger.on_sample(1, 1.0) is None
 
     def test_interleaved_two_user_example(self):
         # order 1,2,2,2,1,2,1,1 with values x1..x8
         users = [1, 2, 2, 2, 1, 2, 1, 1]
         values = [float(i) for i in range(1, 9)]
         _, decisions = drive(users, values)
-        released = [d.released for d in decisions]
+        released = [d is not None for d in decisions]
         assert released == [True, True, True, False, True, True, False, True]
-        assert decisions[5].block_sum == 4.0 + 6.0  # user 2's block (x4 + x6)
-        assert decisions[5].level == 2 and decisions[5].block_size == 2
-        assert decisions[7].block_sum == 7.0 + 8.0  # user 1's block (x7 + x8)
+        assert decisions[5] == (2, 4.0 + 6.0, 2)  # user 2's block (x4 + x6)
+        assert decisions[7] == (2, 7.0 + 8.0, 2)  # user 1's block (x7 + x8)
 
     def test_block_boundaries_single_user(self):
         values = [float(2**i) for i in range(16)]  # distinguishable values
         _, decisions = drive([1] * 16, values)
-        releases = [(i + 1, d.level, d.block_sum) for i, d in enumerate(decisions) if d.released]
+        releases = [(i + 1, d[0], d[1]) for i, d in enumerate(decisions) if d is not None]
         assert releases == [
             (1, 0, 1.0),
             (2, 1, 2.0),
@@ -54,6 +51,14 @@ class TestSchedule:
             (8, 3, 16.0 + 32.0 + 64.0 + 128.0),
             (16, 4, float(2**8 + 2**9 + 2**10 + 2**11 + 2**12 + 2**13 + 2**14 + 2**15)),
         ]
+
+    def test_each_return(self):
+        # a release is (level, block_sum, block_size), a withheld sample None
+        ledger = UserLedger()
+        assert ledger.on_sample(1, 1.0) == (0, 1.0, 1)
+        assert ledger.on_sample(1, 0.0) == (1, 0.0, 1)
+        assert ledger.on_sample(1, 0.5) is None
+        assert ledger.on_sample(1, 0.25) == (2, 0.75, 2)
 
     def test_non_finite_value_rejected(self):
         with pytest.raises(ValueError):
@@ -117,11 +122,12 @@ class TestBlockPartition:
         covered: dict[int, list[tuple[int, int]]] = {}
         for u in users:
             d = ledger.on_sample(u, 1.0)
-            if d.released:
+            if d is not None:
+                _, block_sum, block_size = d
                 hi = ledger.counts[u]
-                lo = hi - d.block_size + 1
+                lo = hi - block_size + 1
                 covered.setdefault(u, []).append((lo, hi))
-                assert d.block_sum == float(d.block_size)  # unit values sum to size
+                assert block_sum == float(block_size)  # unit values sum to size
         for u, cnt in ledger.counts.items():
             blocks = covered.get(u, [])
             flat = [i for lo, hi in blocks for i in range(lo, hi + 1)]
@@ -129,22 +135,7 @@ class TestBlockPartition:
             # unit values: the withheld sum counts the withheld samples
             assert ledger.pending.get(u, 0.0) == cnt - len(flat)
         pending = sum(ledger.pending.values())
-        assert ledger.released_info_count() + pending == ledger.samples_seen()
-
-
-class TestReleaseDecision:
-    def test_fields_and_construction(self):
-        assert ReleaseDecision._fields == ("released", "level", "block_sum", "block_size")
-        assert ReleaseDecision(False) == ReleaseDecision(released=False, level=None, block_sum=None, block_size=None)
-        assert ReleaseDecision(True, 2, 0.75, 2) == ReleaseDecision(released=True, level=2, block_sum=0.75, block_size=2)
-
-    def test_ledger_decisions(self):
-        ledger = UserLedger()
-        assert ledger.on_sample(1, 1.0) == ReleaseDecision(True, 0, 1.0, 1)
-        assert ledger.on_sample(1, 0.0) == ReleaseDecision(True, 1, 0.0, 1)
-        withheld = ledger.on_sample(1, 0.5)
-        assert withheld is _WITHHOLD and not withheld.released
-        assert ledger.on_sample(1, 0.25) == ReleaseDecision(True, 2, 0.75, 2)
+        assert ledger.released_info_count() + pending == sum(ledger.counts.values())
 
 
 def arrival_sum(values) -> float:
@@ -164,7 +155,7 @@ def released_blocks(ledger, users, values, cap=math.inf):
         held = seen.setdefault(u, [])
         if len(held) >= cap:
             continue
-        released = ledger.record(u, v, len(held))
+        released = ledger.on_sample(u, v)
         held.append(v)
         if released is not None:
             _, block_sum, block_size = released
@@ -214,7 +205,7 @@ class TestConstantState:
         def traced_growth(counts):
             before = tracemalloc.get_traced_memory()[0]
             for c in counts:
-                ledger.record(1, c / 128, c)
+                ledger.on_sample(1, c / 128)
             return tracemalloc.get_traced_memory()[0] - before
 
         tracemalloc.start()
@@ -270,17 +261,17 @@ class TestOnSampleTypes:
         ledger, twin = LAWS[law](), LAWS[law]()
         for v in samples:
             got, want = ledger.on_sample(1, v), twin.on_sample(1, float(v))
-            assert got.released == want.released
-            if got.released:
-                assert type(got.block_sum) is float and got.block_sum.hex() == want.block_sum.hex()
-                assert (got.level, got.block_size) == (want.level, want.block_size)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert type(got[1]) is float and got[1].hex() == want[1].hex()
+                assert (got[0], got[2]) == (want[0], want[2])
             assert all(type(s) is float for s in ledger.pending.values())
             assert ledger.pending == twin.pending
 
 
 class TestBatchCap:
-    """The batch law gives a user at most m samples: ``record`` and
-    ``on_sample`` refuse the (m+1)-th, as an estimator's ``step`` does."""
+    """The batch law gives a user at most m samples: ``on_sample`` refuses
+    the (m+1)-th, as an estimator's ``step`` does."""
 
     def test_sample_past_m_refused_without_a_trace(self):
         ledger = BatchLedger(2)
@@ -289,24 +280,22 @@ class TestBatchCap:
         counts, pending = dict(ledger.counts), {u: s.hex() for u, s in ledger.pending.items()}
         with pytest.raises(ValueError, match="count 3 exceeds the per-user cap m=2"):
             ledger.on_sample(1, 1.0)
-        with pytest.raises(ValueError, match="count 3 exceeds the per-user cap m=2"):
-            ledger.record(1, 1.0, 2)
         assert ledger.counts == counts and {u: s.hex() for u, s in ledger.pending.items()} == pending
         assert (ledger.pending_count(), ledger.released_info_count()) == (1, 2)
-        assert ledger.on_sample(2, 0.125) == ReleaseDecision(True, 0, 0.75 + 0.125, 2)
+        assert ledger.on_sample(2, 0.125) == (0, 0.75 + 0.125, 2)
 
 
 class TestOneSampleBlocks:
     """A block of one sample is the sample itself: no pending sum is read,
     so a -0.0 sample is released as -0.0."""
 
-    @pytest.mark.parametrize("ledger, samples", [
-        (UserLedger(), [(1, 0), (1, 1), (2, 0)]),  # a user's 1st and 2nd samples
-        (SampleLedger(), [(1, 0), (1, 1), (2, 0)]),
-        (BatchLedger(1), [(1, 0), (2, 0), (3, 0)]),
+    @pytest.mark.parametrize("ledger, users", [
+        (UserLedger(), [1, 1, 2]),  # a user's 1st and 2nd samples
+        (SampleLedger(), [1, 1, 2]),
+        (BatchLedger(1), [1, 2, 3]),
     ], ids=["dyadic", "per-sample", "batch"])
-    def test_block_of_one_is_the_sample(self, ledger, samples):
-        released = [ledger.record(user, -0.0, count) for user, count in samples]
+    def test_block_of_one_is_the_sample(self, ledger, users):
+        released = [ledger.on_sample(user, -0.0) for user in users]
         assert [(level, block_sum.hex(), size) for level, block_sum, size in released] == [
             (level, (-0.0).hex(), 1) for level in ([0, 1, 0] if type(ledger) is UserLedger else [0, 0, 0])
         ]
