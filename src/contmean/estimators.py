@@ -22,7 +22,6 @@ counter's ``append``, which returns the new running sum.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import os
@@ -210,12 +209,20 @@ def full_noise_scale(m: int, n: int, level: int, eps: float, delta: float) -> fl
 class EstimatorConfig:
     """Parameters shared by all estimators plus testing knobs.
 
-    ``prior`` is required by wishful/single/multi and forbidden elsewhere.
+    ``n`` users give at most ``m`` samples each, at budget (``eps``,
+    ``delta``); ``seed`` fixes every noise draw.  ``T`` bounds the stream
+    of naive and wishful and sizes naive's privacy row; single, multi and
+    full cap a stream at n * m and ignore ``T``, which
+    ``ExperimentSpec.length`` still reads as a length bound.  ``prior`` is
+    required by wishful/single/multi and forbidden elsewhere.
     ``prior_override`` pins every level prior of the full estimator to a
     fixed value, replacing the private-median subroutine; it exists for
     deterministic audits and tests.  ``noise_override`` replaces every
     mechanism's noise scale (0.0 gives noiseless runs) and
     ``clip_disabled`` turns all projections into the identity.
+    ``keep_trace`` keeps every step's record on ``records``, and
+    ``track_diversity`` keeps the supply sum behind the ``div`` flag.
+    Counts are integers and the other numbers real; a bool is neither.
     """
 
     algorithm: str
@@ -233,6 +240,13 @@ class EstimatorConfig:
     track_diversity: bool = True
 
     def __post_init__(self):
+        # a bool would stand for 0 or 1, and a bool prior be published as
+        # True; a non-number would fail only in a comparison below
+        for field in ("eps", "delta", "prior", "prior_override", "noise_override"):
+            value = getattr(self, field)
+            unset = value is None and field not in ("eps", "delta")
+            if not (unset or isinstance(value, numbers.Real) and not isinstance(value, bool)):
+                raise ValueError(f"{field}: {value!r} is not a real number")
         # a numpy scalar prior is stored as the equal Python number: it is
         # the estimate until the first release, and a trace writes its repr
         for field in ("prior", "prior_override"):
@@ -332,30 +346,24 @@ def _trace_lines(records):
         yield f"{r.t},{r.user},{text},{r.total},{r.max_count},{tail}\r\n"
 
 
-@contextlib.contextmanager
-def _trace_file(path):
-    """``path`` opened for trace rows, its header written.  A body that
-    raises leaves no file: a trace written in parts is removed when a part
-    fails."""
-    fh = open(path, "w", newline="")
-    try:
-        with fh:
-            fh.write(",".join(TRACE_HEADER) + "\r\n")
-            yield fh
-    except BaseException:
-        os.remove(path)
-        raise
-
-
 def write_trace(records, path) -> None:
     """Write trace records as CSV rows ``t,user,estimate,total,M_t,flags``.
 
     Rows are written as ``csv.writer`` writes them, CRLF included: no field
     needs quoting, since flags come from a fixed comma-free vocabulary.  The
     flags field is ``flags_str``, without the value-dependent ``clip``.
+    ``records`` may be any iterable, read once as its rows are written.  If
+    reading or writing raises, the file is removed and the error propagates;
+    a ``path`` that cannot be opened raises before any file exists.
     """
-    with _trace_file(path) as fh:
-        fh.writelines(_trace_lines(records))
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.write(",".join(TRACE_HEADER) + "\r\n")
+            fh.writelines(_trace_lines(records))
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 # ``step`` builds a record from a blank one, ``object.__new__(TraceRecord)``

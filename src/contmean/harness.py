@@ -2,46 +2,41 @@
 
 ``run`` executes seeded Monte-Carlo trials of one estimator configuration
 and reduces per-checkpoint absolute errors to median/quantile summaries.
-A trial's events are stepped without a Python loop per event: ``step`` is
-mapped over the stream, whose events are handed out from the end of the
-reversed list, so each one is freed as soon as it is stepped.  The
-estimator keeps no records: ``_TRACE_CHUNK`` steps at a time are taken
-into a list, the checkpoints in it read by index, and, when the trial is
-traced, its rows written before the next chunk is stepped, so a trial
-holds one chunk of records however long it runs.
-``sweep`` runs a cartesian grid of such experiments.  ``audit_sensitivity``
-replays an estimator noiselessly on a stream and on user-level neighbors of
-it (one user's values replaced adversarially over the {0,1} grid) and
-compares the realized change in the stored partial sums against the bound
-that calibrates the Laplace noise.  The neighbors are replayed along their
-shared prefixes: a replay branches into an estimator ``copy()`` at each of
-the changed user's samples, so an event is stepped once per branch it lies
-on, not once per neighbor.  An audit's one set-up is ``_audit_root``,
-cached per audited config: the noiseless estimator every walk copies, built
-at the config's first audit, and its counters' bounds, read from that
-estimator's privacy table.  An audit's runs form one float64
-matrix, a row per run holding every counter's partial sums side by side,
-and its pairs of runs are compared a tile at a time: a block of left runs
-against a block of right runs, their differences one broadcast subtraction
-for all counters, and each counter's l1 shift summed in the order numpy
-sums one counter's row.
+A trial maps ``step`` over its stream, whose events are handed out from
+the end of the reversed list and freed as they are stepped.  Its records
+form one lazy stream, taken ``_TRACE_CHUNK`` at a time, each checkpoint's
+error read as its chunk is taken, and read once: by ``write_trace`` when
+the trial is traced, else drained.  So a trial holds one chunk of records
+however long it runs.  ``sweep`` runs a cartesian grid of such experiments.
+
+``audit_sensitivity`` replays an estimator noiselessly on a stream and on
+user-level neighbors of it (one user's values replaced adversarially over
+the {0,1} grid) and compares the realized change in the stored partial
+sums against the bound that calibrates the Laplace noise.  The replays
+walk the neighbors' shared prefixes depth first, branching into a
+``copy()`` at each of the changed user's samples, 0.0 before 1.0, so an
+event is stepped once per branch it lies on, and the runs come out in
+mask order, the user's first sample the highest bit.  Every audit of a
+config starts from one cached root, ``_audit_root``.  An audit's runs form
+one float64 matrix, a row per run, and their pairs are compared a tile of
+rows at a time (``_diff_report``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import functools
 from array import array
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from contmean.estimators import EstimatorConfig, _trace_file, _trace_lines, make_estimator
+from contmean.estimators import EstimatorConfig, make_estimator, write_trace
 from contmean.streams import OrderingSpec, StreamEvent, _require_int, generate
 
 __all__ = [
@@ -132,47 +127,48 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
 
+def _chunks(steps, checkpoints: tuple[int, ...], errors: np.ndarray, mu: float):
+    """The records of ``steps``, ``_TRACE_CHUNK`` at a time, each chunk
+    setting ``errors[i]`` for the checkpoints in it before it is handed on."""
+    stepped = i = 0
+    while chunk := list(islice(steps, _TRACE_CHUNK)):
+        stepped += len(chunk)
+        # a checkpoint in the chunk is an index from its end
+        while i < len(checkpoints) and checkpoints[i] <= stepped:
+            errors[i] = abs(chunk[checkpoints[i] - stepped - 1].estimate - mu)
+            i += 1
+        yield chunk
+        del chunk  # before the next chunk is stepped
+
+
 def run(spec: ExperimentSpec, out_dir=None, write_traces: bool = True) -> RunSummary:
     """Run the experiment; optionally write one trace CSV per trial plus a
     summary CSV.  Deterministic for a fixed config seed."""
     if spec.checkpoints[-1] > spec.length:
-        raise ValueError(
-            f"checkpoint {spec.checkpoints[-1]} beyond stream length {spec.length}"
-        )
+        raise ValueError(f"checkpoint {spec.checkpoints[-1]} beyond stream length {spec.length}")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    checkpoints = spec.checkpoints
-    errors = np.empty((spec.trials, len(checkpoints)))
+    errors = np.empty((spec.trials, len(spec.checkpoints)))
     trace_paths: list[Path] = []
     keep = write_traces and out_path is not None
     for trial in range(spec.trials):
         stream_seed = _child_seed(spec.config.seed, 3, trial)
         est_seed = _child_seed(spec.config.seed, 4, trial)
-        events = generate(
-            spec.mu, spec.config.n, spec.config.m, spec.length, spec.ordering, stream_seed
-        )
+        events = generate(spec.mu, spec.config.n, spec.config.m, spec.length, spec.ordering, stream_seed)
         est = make_estimator(dataclasses.replace(spec.config, seed=est_seed, keep_trace=False))
         # hand the events out first to last, each dropped from the list as
         # it is stepped; the None put first ends the feed
         events.append(None)
         events.reverse()
         feed = iter(events.pop, None)
-        steps = map(est.step, feed)
+        records = chain.from_iterable(_chunks(map(est.step, feed), spec.checkpoints, errors[trial], spec.mu))
         if keep:
             trace_paths.append(out_path / f"trace_{trial:04d}.csv")
-        with _trace_file(trace_paths[-1]) if keep else contextlib.nullcontext() as fh:
-            stepped = i = 0
-            while chunk := list(islice(steps, _TRACE_CHUNK)):
-                stepped += len(chunk)
-                # a checkpoint in the chunk is an index from its end
-                while i < len(checkpoints) and checkpoints[i] <= stepped:
-                    errors[trial, i] = abs(chunk[checkpoints[i] - stepped - 1].estimate - spec.mu)
-                    i += 1
-                if keep:
-                    fh.writelines(_trace_lines(chunk))
-                del chunk  # before the next chunk is stepped
+            write_trace(records, trace_paths[-1])
+        else:
+            deque(records, maxlen=0)
 
     summary = RunSummary(
         checkpoints=spec.checkpoints,
@@ -306,17 +302,16 @@ class _Runs(NamedTuple):
 
 def _value_grid_runs(root, events: list, positions: list[int]) -> _Runs:
     """Replay ``events`` through ``step`` from copies of the audit root
-    ``root`` under every {0,1} assignment of the given positions; row
-    ``mask`` holds the assignment that sets position j to bit j of ``mask``.
+    ``root`` under every {0,1} assignment of the k given positions; row
+    ``mask`` sets position j to bit k - 1 - j of ``mask``.
 
     Assignments that agree on the first j positions share their state up
     to position j + 1, so the replays walk a binary tree depth first: the
     events before the next position are stepped once per node, and at the
-    position the estimator branches into a ``copy()`` that takes 1.0 while
-    the original takes 0.0.  An event is stepped 2^c times, c the number of
-    positions at or before it, not 2^len(positions) times.  Each leaf
-    appends its counters' partial sums to one buffer, viewed as the matrix
-    once the walk is done.
+    position the estimator takes 0.0 and its ``copy()`` 1.0, in that order.
+    An event is stepped 2^c times, c the number of positions at or before
+    it, not 2^k times.  Each leaf appends its counters' partial sums to one
+    buffer in walk order, which is mask order: the buffer is the matrix.
     """
     k = len(positions)
     # the events between positions, and each position's two values
@@ -327,37 +322,32 @@ def _value_grid_runs(root, events: list, positions: list[int]) -> _Runs:
     ]
     buffer = array("d")
     widths: list[int] = []
-    masks: list[int] = []  # leaves in walk order
 
-    def leaf(est, mask: int) -> None:
+    def leaf(est) -> None:
         mechs = est.mechanisms
         lengths = [len(mech) for mech in mechs]
-        if not masks:
+        if not widths:
             widths.extend(lengths)
         elif lengths != widths:
             _check_layout(widths, lengths, len(widths))
         for mech in mechs:
             mech.write_partial_sums(buffer)
-        masks.append(mask)
 
-    def walk(est, depth: int, mask: int) -> None:
+    def walk(est, depth: int) -> None:
         for ev in segments[depth]:
             est.step(ev)
         if depth == k:
-            leaf(est, mask)
+            leaf(est)
             return
         zero, one = branches[depth]
         twin = est.copy()
         est.step(zero)
-        walk(est, depth + 1, mask)
+        walk(est, depth + 1)
         twin.step(one)
-        walk(twin, depth + 1, mask | (1 << depth))
+        walk(twin, depth + 1)
 
-    walk(root.copy(), 0, 0)
-    walked = np.frombuffer(buffer).reshape(len(masks), sum(widths))
-    sums = np.empty_like(walked)
-    sums[masks] = walked
-    return _Runs(sums, widths)
+    walk(root.copy(), 0)
+    return _Runs(np.frombuffer(buffer).reshape(1 << k, sum(widths)), widths)
 
 
 def _diff_report(

@@ -124,6 +124,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1"):
             any_config(algorithm, n=2, m=4, T=8, eps=1, delta=0.1, seed=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("prior", "prior_override", "eps", "delta", "noise_override")
+         for v in (True, False, "0.5", Decimal("0.5"))] + [("eps", None), ("delta", None)],
+    )
+    def test_non_real_rejected_by_name(self, field, value):
+        # prior = True used to run and write ``True`` as the estimate, and
+        # eps, delta and noise_override took a bool as 1 or 0
+        algorithm = "full" if field == "prior_override" else "multi"
+        kw = {"eps": 1.0, "delta": 0.1, **({"prior": 0.5} if algorithm == "multi" else {}), field: value}
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            EstimatorConfig(algorithm, n=2, m=4, **kw)
+
     def test_numpy_integers_accepted(self):
         kw = dict(n=2, m=4, T=8, eps=1.0, delta=0.1, prior=0.5, seed=3)
         numpy_kw = dict(kw, n=np.int64(2), m=np.int32(4), T=np.int64(8), seed=np.uint8(3))
@@ -1525,6 +1538,35 @@ class TestTraceBytes:
             path = tmp_path / f"trace_{i}.csv"
             write_trace(trace, path)
             assert path.read_bytes() == reference_trace_csv(trace)
+
+
+class TestWriteTrace:
+    """``write_trace`` is the one writer of a trace file: it reads any
+    iterable of records once, and leaves no file when it fails."""
+
+    def test_an_iterator_writes_the_bytes_of_its_list(self, tmp_path):
+        records = golden_records("full", "dense")
+        write_trace(records, tmp_path / "list.csv")
+        write_trace(iter(records), tmp_path / "iter.csv")
+        assert (tmp_path / "iter.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+    def test_a_failing_stream_leaves_no_file(self, tmp_path):
+        records = golden_records("multi", "odd")
+
+        def fail_after_three():
+            yield from records[:3]
+            raise RuntimeError("stream failed")
+
+        with pytest.raises(RuntimeError, match="stream failed"):
+            write_trace(fail_after_three(), tmp_path / "trace.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_unopenable_path_raises_its_own_error(self, tmp_path):
+        # the open comes before the cleanup, so no ``os.remove`` error hides it
+        with pytest.raises(FileNotFoundError) as caught:
+            write_trace(golden_records("multi", "odd"), tmp_path / "missing" / "trace.csv")
+        assert caught.value.filename == str(tmp_path / "missing" / "trace.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _events_from(order, per_user):

@@ -1,5 +1,6 @@
-"""Every name a module lists in ``__all__`` exists in it, and the test
-oracles import no private name of the package."""
+"""Every name a module lists in ``__all__`` exists in it, the test oracles
+import no private name of the package, and no module of the package imports
+a private name of ``contmean.estimators``."""
 
 import ast
 import importlib
@@ -28,6 +29,20 @@ def test_oracles_import_no_private_name():
         f"{node.module}.{alias.name}"
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "contmean"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_modules_import_no_private_name_of_estimators():
+    # what another layer needs of the estimators is public API, so the
+    # trace format and the records' layout have one owner
+    private = [
+        f"{path.name}: {alias.name}"
+        for path in sorted(Path(contmean.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "contmean.estimators"
         for alias in node.names
         if alias.name.startswith("_")
     ]

@@ -157,6 +157,19 @@ class TestSpecFields:
         assert f"precondition violation: {field}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_cli_bool_prior_exit_code_two(self, tmp_path, capsys):
+        # it used to run and write ``True`` as the estimate of every row
+        # before the first release
+        run_spec = {
+            "algorithm": "wishful", "n": 4, "m": 8, "eps": 1.0, "delta": 0.1, "T": 16, "prior": True,
+            "mu": 0.5, "ordering": "contiguous", "trials": 1, "checkpoints": [4],
+        }
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(run_spec))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        assert "precondition violation: prior: True is not a real number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ordering_must_be_an_ordering_spec(self):
         # it used to fail mid-run with an AttributeError
         with pytest.raises(ValueError, match="^ordering: 'round_robin' is not an OrderingSpec"):
@@ -296,6 +309,43 @@ class TestChunkedTraces:
             baseline = peak(tmp_path / "baseline", False)
         traced = peak(tmp_path / "traced", True)
         assert traced - baseline <= harness._TRACE_CHUNK * 200 + (256 << 10)
+
+    def test_an_untraced_trial_holds_one_chunk_of_records(self, monkeypatch):
+        # the twin of the traced test: a trial that drains its records
+        # without writing them holds one chunk of them too
+        spec = spec_for("naive", n=1024, m=64, trials=1, checkpoints=(1, 1 << 15, 1 << 16))
+
+        def generate_then_reset(*args):
+            events = generate(*args)
+            tracemalloc.reset_peak()
+            return events
+
+        monkeypatch.setattr(harness, "generate", generate_then_reset)
+
+        def stepping_to_first_record(config):
+            step, first = make_estimator(config).step, []
+
+            def step_to_first(event):
+                record = step(event)
+                if not first:
+                    first.append(record)
+                return first[0]
+
+            return SimpleNamespace(step=step_to_first)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                run(spec, out_dir=None)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(spec, out_dir=None)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "make_estimator", stepping_to_first_record)
+            baseline = peak()
+        assert peak() - baseline <= harness._TRACE_CHUNK * 200 + (256 << 10)
 
     def test_a_failed_trial_leaves_no_trace(self, tmp_path, monkeypatch):
         # the second trial's step raises at t = 8, after two chunks of 3
@@ -742,7 +792,7 @@ class TestAuditReplays:
     @pytest.mark.parametrize("algorithm", ["naive", "single", "multi", "full"])
     def test_row_mask_is_the_assignment(self, algorithm):
         # row ``mask`` holds the replay that gives the changed user's j-th
-        # sample bit j of ``mask``, replayed here from t = 1
+        # of k samples bit k - 1 - j of ``mask``, replayed here from t = 1
         config, events, changed = _case(algorithm, [2, 1, 2, 3, 1, 2, 2, 3, 1], 2, m=8)
         root, _ = harness._audit_root(config)
         assert root.config == audit_config(config)
@@ -753,7 +803,7 @@ class TestAuditReplays:
         for mask in range(1 << len(positions)):
             variant = list(events)
             for bit, pos in enumerate(positions):
-                variant[pos] = variant[pos]._replace(value=float((mask >> bit) & 1))
+                variant[pos] = variant[pos]._replace(value=float((mask >> (len(positions) - 1 - bit)) & 1))
             est = make_estimator(root.config)
             for mech in est.mechanisms:
                 mech.store_nodes()  # as the auditor's root does
