@@ -4,9 +4,9 @@ The k-th element releases one noisy partial sum, the sum of the most
 recent ``lowbit(k)`` elements plus fresh Laplace noise, and a running-sum
 query combines those of the dyadic decomposition of k, so each element
 influences O(log k) of them.  A stack of running sums over that
-decomposition, O(log k) state, makes an append O(1) amortized and a query
-O(1); the partial sums themselves, which a sensitivity audit compares, are
-stored only after ``store_nodes``.
+decomposition, O(log k) state indexed by popcount(k), makes an append and
+a query O(1) in the worst case; the partial sums themselves, which a
+sensitivity audit compares, are stored only after ``store_nodes``.
 """
 
 from __future__ import annotations
@@ -46,9 +46,14 @@ def audit_influence(mech_len: int, element_index: int) -> int:
 
 
 class BinaryMechanism:
-    """One tree-aggregation counter: after k elements, a stack of at most
-    ``bit_length(k) + 1`` prefix and noisy running sums (and k partial sums
-    after ``store_nodes``).
+    """One tree-aggregation counter: after k elements, k, their prefix sum,
+    and a stack of at most ``bit_length(k) + 1`` slots (and k partial sums
+    after ``store_nodes``).  Slot d holds the prefix and noisy running sums
+    at the end of the d-th block of k's dyadic decomposition, slot 0 those
+    at 0; slots past popcount(k) are stale and never read.  Element k's
+    block starts where the decomposition of k - 1 ends its first
+    popcount(k) - 1 blocks, so an append reads slot popcount(k) - 1 and
+    writes slot popcount(k), whatever the trailing zeros of k.
 
     ``eta`` is the Laplace scale added to every partial sum; the caller
     chooses it from its own bound on how many elements a user can
@@ -75,11 +80,13 @@ class BinaryMechanism:
         self.label = label
         self._rng = rng
         self._nodes: array | None = None  # every partial sum, once ``store_nodes`` is called
-        self._stack = [(0, 0.0, 0.0)]  # (end, prefix, noisy sum) at 0 and each dyadic block end of k
+        self._k = 0  # elements appended
+        self._prefix = 0.0  # their sum, without noise
+        self._stack = [(0.0, 0.0)]  # (prefix, noisy running sum) per slot
         self._draws: list[float] = []  # buffered noise, next draw last; empty at zero scale
 
     def __len__(self) -> int:
-        return self._stack[-1][0]
+        return self._k
 
     def store_nodes(self) -> None:
         """Store every partial sum, for a sensitivity audit to read; the
@@ -101,6 +108,8 @@ class BinaryMechanism:
         rng = self._rng
         twin._rng = rng if callable(rng) else deepcopy(rng)
         twin._nodes = None if self._nodes is None else self._nodes[:]
+        twin._k = self._k
+        twin._prefix = self._prefix
         twin._stack = self._stack[:]
         twin._draws = self._draws[:]
         return twin
@@ -116,8 +125,8 @@ class BinaryMechanism:
         if not isinstance(self._rng, np.random.Generator):
             self._rng = self._rng()
         # buffer the next block, doubling it to the cap: every earlier draw
-        # is used.  ``append`` draws before it pops the stack, whose top
-        # then counts the elements appended so far
+        # is used.  ``append`` draws before it counts its element, so the
+        # length is the number of elements appended before it
         size = min(len(self) + _FIRST_BLOCK, _MAX_BLOCK)
         self._draws = laplace(self.eta, self._rng, size).tolist()[::-1]
         return self._draws.pop()
@@ -126,22 +135,25 @@ class BinaryMechanism:
         """Ingest one element, release its noisy dyadic partial sum (stored
         only after ``store_nodes``), and return the new noisy running sum,
         the value ``sum()`` reads next."""
-        stack = self._stack
-        top = stack[-1]  # (k - 1, its prefix sum, its noisy running sum)
-        prefix = top[1] + float(x)
-        k = top[0] + 1
-        start = k - (k & -k)  # the block covers (start, k]; start is on the stack
+        prefix = self._prefix + float(x)
         noise = self._draws.pop() if self._draws else self._refill() if self.eta else 0.0
-        while top[0] != start:
-            stack.pop()
-            top = stack[-1]
-        value = (prefix - top[1]) + noise
+        k = self._k = self._k + 1
+        self._prefix = prefix
+        # k's block is (k - lowbit(k), k], and its start ends the block one
+        # slot below k's own
+        depth = k.bit_count()
+        stack = self._stack
+        start = stack[depth - 1]
+        value = (prefix - start[0]) + noise
         if self._nodes is not None:
             self._nodes.append(value)
-        total = top[2] + value
-        stack.append((k, prefix, total))
+        total = start[1] + value
+        if depth < len(stack):
+            stack[depth] = (prefix, total)
+        else:
+            stack.append((prefix, total))
         return total
 
     def sum(self) -> float:
         """Noisy running sum of everything appended so far (0.0 when empty)."""
-        return self._stack[-1][2]
+        return self._stack[self._k.bit_count()][1]

@@ -33,7 +33,7 @@ import numpy as np
 from contmean.binmech import BinaryMechanism
 from contmean.median import MedianRequest, array_size, arrays_required, extend_columns, private_median
 from contmean.noise import BudgetLedger, spawn_rng
-from contmean.streams import StreamEvent, _require_int
+from contmean.streams import StreamEvent, _require_int, _require_real
 from contmean.truncate import (
     TruncationInterval,
     clamp_bounds,
@@ -240,13 +240,10 @@ class EstimatorConfig:
     track_diversity: bool = True
 
     def __post_init__(self):
-        # a bool would stand for 0 or 1, and a bool prior be published as
-        # True; a non-number would fail only in a comparison below
         for field in ("eps", "delta", "prior", "prior_override", "noise_override"):
             value = getattr(self, field)
-            unset = value is None and field not in ("eps", "delta")
-            if not (unset or isinstance(value, numbers.Real) and not isinstance(value, bool)):
-                raise ValueError(f"{field}: {value!r} is not a real number")
+            if value is not None or field in ("eps", "delta"):
+                _require_real(field, value)
         # a numpy scalar prior is stored as the equal Python number: it is
         # the estimate until the first release, and a trace writes its repr
         for field in ("prior", "prior_override"):

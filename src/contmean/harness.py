@@ -37,7 +37,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from contmean.estimators import EstimatorConfig, make_estimator, write_trace
-from contmean.streams import OrderingSpec, StreamEvent, _require_int, generate
+from contmean.streams import OrderingSpec, StreamEvent, _require_int, _require_real, generate
 
 __all__ = [
     "AuditMechanismReport",
@@ -76,6 +76,7 @@ class ExperimentSpec:
         # a sweep over "ordering" would otherwise put a bare kind string here
         if not isinstance(self.ordering, OrderingSpec):
             raise ValueError(f"ordering: {self.ordering!r} is not an OrderingSpec")
+        _require_real("mu", self.mu)
         _require_int("trials", self.trials)
         for c in self.checkpoints:
             _require_int("checkpoints", c)

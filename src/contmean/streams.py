@@ -45,6 +45,13 @@ def _require_int(field: str, value) -> None:
         raise ValueError(f"{field}: {value!r} is not an integer")
 
 
+def _require_real(field: str, value) -> None:
+    # a bool would stand for 0 or 1; a non-number would fail only in a
+    # comparison, or be published as it is
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{field}: {value!r} is not a real number")
+
+
 class StreamParseError(ValueError):
     """Malformed stream file; carries the offending 1-based line number."""
 
@@ -161,6 +168,7 @@ def generate(
     Every user is in [1, n] and gets at most m samples; a ``from_file``
     ordering that breaks either raises ValueError.
     """
+    _require_real("mu", mu)
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     if T > n * m:

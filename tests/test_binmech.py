@@ -1,6 +1,8 @@
 """Tree-aggregation counter: dyadic structure, oracle equivalence, influence."""
 
 import math
+import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -35,6 +37,42 @@ def dump_rows(mech):
     """One (index, block_start, block_end, noisy_value) row per stored
     partial sum."""
     return [(k, *block_of(mech, k), v) for k, v in enumerate(partial_sums(mech), start=1)]
+
+
+def opcodes_in_append(mech, x) -> int:
+    """Bytecode instructions that ``mech.append(x)`` runs, over every Python
+    frame it enters, counted with ``sys.settrace``."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        mech.append(x)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def append_twins(mech, xs):
+    """Append ``xs`` to ``mech`` and to a copy of it whose stale stack slots,
+    those past popcount(len), hold NaN; check that both give the same bits."""
+    twin = mech.copy()
+    live = len(mech).bit_count() + 1
+    twin._stack[live:] = [(math.nan, math.nan)] * (len(twin._stack) - live)
+    for x in xs:
+        assert twin.append(x).hex() == mech.append(x).hex()
+        assert twin.sum().hex() == mech.sum().hex()
+        assert len(twin) == len(mech)
+    sums, twin_sums = array("d"), array("d")
+    mech.write_partial_sums(sums)
+    twin.write_partial_sums(twin_sums)
+    assert twin_sums.tobytes() == sums.tobytes()
 
 
 def brute_influence(mech_len: int, element_index: int) -> int:
@@ -211,3 +249,40 @@ class TestStoredNodes:
         assert partial_sums(twin)[:2] == partial_sums(stored) and len(partial_sums(twin)) == 3
         with pytest.raises(ValueError):
             partial_sums(BinaryMechanism(2.0, spawn_rng(0, 0)).copy())
+
+
+class TestConstantTimeAppend:
+    """An append reads and writes one slot of its stack: slot d holds the
+    sums at the end of the d-th block of the length's dyadic decomposition,
+    and slots past popcount(length) are stale."""
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_work_does_not_depend_on_trailing_zeros(self, store):
+        # the 4,096th element's block starts at 0, twelve block ends below
+        # the 4,095th's; the 4,097th's block is the element itself
+        mech = storing(0.0, spawn_rng(0, 1)) if store else BinaryMechanism(0.0, spawn_rng(0, 1))
+        extend(mech, [0.5] * 4095)
+        at_4096 = opcodes_in_append(mech, 0.5)
+        at_4097 = opcodes_in_append(mech, 0.5)
+        assert (len(mech), mech.sum()) == (4097, 2048.5)
+        assert at_4096 == at_4097
+
+    def test_stale_slots_never_leak_at_any_length(self):
+        values = (np.random.default_rng(5).random(400) * 64.0).tolist()
+        for length in range(1, 301):
+            mech = storing(2.5, lambda: spawn_rng(7, 1, 0))
+            extend(mech, values[:length])
+            append_twins(mech, values[length:])
+
+    @given(
+        st.integers(min_value=1, max_value=3000),
+        st.lists(st.floats(min_value=-64.0, max_value=64.0), min_size=1, max_size=50),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stale_slots_never_leak(self, length, pattern, more, seed):
+        values = (pattern * ((length + more) // len(pattern) + 1))[: length + more]
+        mech = storing(0.75, lambda: spawn_rng(seed, 1, 0))
+        extend(mech, values[:length])
+        append_twins(mech, values[length:])

@@ -170,6 +170,27 @@ class TestSpecFields:
         assert "precondition violation: prior: True is not a real number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mu", [True, False, "0.5", None])
+    def test_non_real_mu_rejected(self, mu):
+        # ``True`` used to run, draw every value as 1 and measure errors against it
+        with pytest.raises(ValueError, match=f"^mu: {mu!r} is not a real number"):
+            dataclasses.replace(spec_for("naive"), mu=mu)
+
+    @pytest.mark.parametrize("mu", [0, 1, 0.25, np.float64(0.5)])
+    def test_real_mu_accepted(self, mu):
+        assert dataclasses.replace(spec_for("naive"), mu=mu).mu == mu
+
+    def test_cli_bool_mu_exit_code_two(self, tmp_path, capsys):
+        run_spec = {
+            "algorithm": "naive", "n": 4, "m": 8, "eps": 1.0, "delta": 0.1, "T": 16,
+            "mu": True, "ordering": "round_robin", "trials": 1, "checkpoints": [4],
+        }
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(run_spec))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        assert "precondition violation: mu: True is not a real number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ordering_must_be_an_ordering_spec(self):
         # it used to fail mid-run with an AttributeError
         with pytest.raises(ValueError, match="^ordering: 'round_robin' is not an OrderingSpec"):

@@ -171,6 +171,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(1.5, 2, 2, 2, OrderingSpec("round_robin"), seed=0)
 
+    @pytest.mark.parametrize("mu", [True, "0.5", None])
+    def test_non_real_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match=f"^mu: {mu!r} is not a real number"):
+            generate(mu, 2, 2, 2, OrderingSpec("round_robin"), seed=0)
+
     def test_unknown_ordering_kind_rejected(self):
         with pytest.raises(ValueError):
             OrderingSpec("zigzag")
